@@ -1,12 +1,12 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint bench bench-guard profile
+.PHONY: check fmt vet build test lint perfbench-check bench bench-guard profile
 
 # BENCH_N is this PR's point on the perf trajectory: bump it each PR so
 # `make bench` appends a new BENCH_N.json and benchguard compares it
 # against the previous one.
 BENCH_N := 9
 
-check: fmt vet build test lint
+check: fmt vet build test lint perfbench-check
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -27,6 +27,14 @@ test:
 # (//simlint:allow <analyzer> — <why>).
 lint:
 	go run ./tools/simlint ./...
+
+# perfbench-check formats, vets and tests the repo benchmark (perfbench/).
+# It is a nested module, outside the root ./..., so the targets above
+# never reach it.
+perfbench-check:
+	@cd perfbench && out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	cd perfbench && go vet ./... && go test ./...
 
 bench: bench-guard
 	go test -bench . -benchtime 1x .

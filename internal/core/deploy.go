@@ -12,9 +12,11 @@ import (
 	"fsdinference/internal/cloud/s3"
 	"fsdinference/internal/cloud/sns"
 	"fsdinference/internal/cloud/sqs"
+	"fsdinference/internal/model"
 	"fsdinference/internal/obs"
 	"fsdinference/internal/sim"
 	"fsdinference/internal/sparse"
+	"fsdinference/internal/wire"
 )
 
 // Deployment is a deployed FSD-Inference application: pre-created
@@ -38,9 +40,10 @@ type Deployment struct {
 	fnCoordinator string
 	fnSerial      string
 
-	// staged caches this deployment shape's encoded/decoded model
-	// artifacts (see stagedCache).
-	staged *stagedModel
+	// blocks holds each staged weight row block by store key. Workers
+	// fetch (and are charged for) the encoded blob, then compute on the
+	// block it encodes instead of decoding a private copy.
+	blocks map[string]*sparse.CSR
 
 	runSeq int
 	// runs holds every in-flight request keyed by run id; handlers look
@@ -175,12 +178,23 @@ func Deploy(e *env.Env, cfg Config) (*Deployment, error) {
 }
 
 // stageModel writes per-worker weight row blocks (or the whole model for
-// serial) into the model store. The encode/slice work is memoised across
-// deployments of the same (model, plan) shape — see stagedCache.
+// serial) into the model store.
 func (d *Deployment) stageModel() {
-	d.staged = stagedFor(d.Cfg)
-	for key, blob := range d.staged.blobs {
-		d.putStore(key, blob)
+	if d.Cfg.Channel == Serial {
+		for k, w := range d.Cfg.Model.Layers {
+			d.putStore(fmt.Sprintf("model/full/layer-%d.w", k), model.EncodeCSR(w))
+		}
+		return
+	}
+	d.blocks = make(map[string]*sparse.CSR)
+	plan := d.Cfg.Plan
+	for worker := 0; worker < plan.Workers; worker++ {
+		for k, w := range d.Cfg.Model.Layers {
+			key := fmt.Sprintf("model/w%d/layer-%d.w", worker, k)
+			blk := w.SelectRows(plan.Rows[worker])
+			d.putStore(key, model.EncodeCSR(blk))
+			d.blocks[key] = blk
+		}
 	}
 }
 
@@ -450,17 +464,30 @@ func (d *Deployment) Infer(input *sparse.Dense) (*Result, error) {
 
 // stageInput writes the request's input rows into the model store: the full
 // matrix for serial, per-worker row blocks otherwise. Requests are assumed
-// buffered and batched upstream (paper §V-B2), so staging is unbilled. The
-// encode work is memoised by input-matrix identity (see inputEncMemo); the
-// store keys stay run-scoped.
+// buffered and batched upstream (paper §V-B2), so staging is unbilled.
 func (d *Deployment) stageInput(run *runState) {
-	blobs := d.encodedInput(run.input, run.batch)
+	put := func(key string, rs *wire.RowSet) {
+		p, err := wire.Encode(rs, d.Cfg.Compress)
+		if err != nil {
+			panic(fmt.Sprintf("core: encoding input: %v", err))
+		}
+		d.putStore(key, p)
+	}
+	in := run.input
 	if d.Cfg.Channel == Serial {
-		d.putStore(fmt.Sprintf("input/%s/full.x", run.id), blobs[0])
+		rs := wire.NewRowSetCap(run.batch, in.Rows)
+		for r := 0; r < in.Rows; r++ {
+			rs.Add(int32(r), in.Row(r))
+		}
+		put(fmt.Sprintf("input/%s/full.x", run.id), rs)
 		return
 	}
-	for worker, p := range blobs {
-		d.putStore(fmt.Sprintf("input/%s/w%d.x", run.id, worker), p)
+	for worker, rows := range d.Cfg.Plan.Rows {
+		rs := wire.NewRowSetCap(run.batch, len(rows))
+		for _, r := range rows {
+			rs.Add(r, in.Row(int(r)))
+		}
+		put(fmt.Sprintf("input/%s/w%d.x", run.id, worker), rs)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"fsdinference/internal/cloud/faas"
+	"fsdinference/internal/sparse"
+	"fsdinference/internal/wire"
 )
 
 // serialHandler is FSD-Inf-Serial (§VI-A1): Algorithm 1 with all
@@ -32,18 +34,13 @@ func (d *Deployment) serialHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 
 	// Load the full model.
 	t0 := p.Now()
-	for k := range d.Cfg.Model.Layers {
-		key := fmt.Sprintf("model/full/layer-%d.w", k)
-		blob, err := d.store.Get(p, key)
+	for k, w := range d.Cfg.Model.Layers {
+		blob, err := d.store.Get(p, fmt.Sprintf("model/full/layer-%d.w", k))
 		if err != nil {
 			return nil, fmt.Errorf("core: serial loading layer %d: %w", k, err)
 		}
 		wm.StoreGets++
 		ctx.Serialize(int64(len(blob)))
-		w, err := d.stagedBlock(key, blob)
-		if err != nil {
-			return nil, fmt.Errorf("core: serial decoding layer %d: %w", k, err)
-		}
 		ctx.Alloc(int64(float64(w.Bytes()) * perf.MemOverheadWeights))
 	}
 	blob, err := d.store.Get(p, fmt.Sprintf("input/%s/full.x", run.id))
@@ -61,29 +58,29 @@ func (d *Deployment) serialHandler(ctx *faas.Ctx, payload []byte) ([]byte, error
 	ctx.Alloc(xBytes)
 	wm.LoadTime = p.Now() - t0
 
-	// Layer loop: z = Wx, activation, repeat. The numeric result is pure
-	// in (model, input) and memoised across runs; the simulated side —
-	// per-layer compute, element ops, allocation high-water — is charged
-	// identically on hit and miss.
-	res, err := d.serialCompute(run.input)
-	if err != nil {
-		return nil, fmt.Errorf("core: serial encoding result: %w", err)
-	}
-	for k := range res.layerMACs {
+	// Layer loop: z = Wx, activation, repeat.
+	x := run.input
+	for _, w := range d.Cfg.Model.Layers {
 		ctx.Alloc(xBytes)
-		ctx.Compute(float64(res.layerMACs[k]))
-		wm.MACs += float64(res.layerMACs[k])
-		ctx.ComputeElem(float64(res.layerOps[k]))
+		z, macs := sparse.Mul(w, x)
+		ctx.Compute(float64(macs))
+		wm.MACs += float64(macs)
+		ctx.ComputeElem(float64(sparse.ReLUBiasClamp(z, spec.Bias, spec.Clamp)))
 		ctx.Free(xBytes)
+		x = z
 	}
 
 	// Store the result.
-	ctx.Serialize(int64(len(res.encoded)))
-	if err := d.store.Put(p, fmt.Sprintf("result/%s.out", run.id), res.encoded); err != nil {
+	enc, err := wire.Encode(denseToRowSet(x), d.Cfg.Compress)
+	if err != nil {
+		return nil, fmt.Errorf("core: serial encoding result: %w", err)
+	}
+	ctx.Serialize(int64(len(enc)))
+	if err := d.store.Put(p, fmt.Sprintf("result/%s.out", run.id), enc); err != nil {
 		return nil, fmt.Errorf("core: serial storing result: %w", err)
 	}
 	wm.StorePuts++
-	run.output = res.output
+	run.output = x
 	wm.FinishedAt = p.Now()
 	wm.PeakMemBytes = ctx.PeakMem()
 	return []byte(`{"ok":true}`), nil

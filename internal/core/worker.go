@@ -264,10 +264,7 @@ func (w *worker) load() error {
 		}
 		w.metrics.StoreGets++
 		w.ctx.Serialize(int64(len(blob)))
-		blk, err := d.stagedBlock(key, blob)
-		if err != nil {
-			return fmt.Errorf("core: worker %d decoding layer %d: %w", w.id, k, err)
-		}
+		blk := d.blocks[key]
 		w.ctx.Alloc(int64(float64(blk.Bytes()) * perf.MemOverheadWeights))
 		w.weights[k] = blk
 	}

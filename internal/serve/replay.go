@@ -192,7 +192,7 @@ func (s *Service) replayStart(route func() ([]routedQuery, error), opts ReplayOp
 	}
 	for i, it := range items {
 		run.eps[i] = s.byName[it.name]
-		run.inputs[i] = model.GenerateInputsCached(it.q.Neurons, it.q.Samples, opts.Density, opts.Seed+int64(it.idx))
+		run.inputs[i] = model.GenerateInputs(it.q.Neurons, it.q.Samples, opts.Density, opts.Seed+int64(it.idx))
 		var so SubmitOptions
 		if opts.Submit != nil {
 			so = opts.Submit(it.idx, it.q)

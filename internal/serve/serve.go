@@ -23,9 +23,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"fsdinference/internal/cloud/env"
@@ -851,12 +848,18 @@ type SubmitOptions struct {
 // endpoint at virtual time at (clamped to now if already past). The
 // returned handle resolves once the simulation has been driven past the
 // request's completion — via Run, Replay, or the handle's own Wait.
+//
+// Submit does not copy input: the engine reads it when the request's run
+// starts, so the caller must not modify it until the handle resolves.
+// After that the buffer may be refilled and submitted again.
 func (s *Service) Submit(name string, input *sparse.Dense, at time.Duration) *Handle {
 	return s.SubmitWith(name, input, at, SubmitOptions{})
 }
 
 // SubmitWith is Submit with per-request scheduling metadata: a priority
-// class and/or a completion deadline for the admission policy.
+// class and/or a completion deadline for the admission policy. Like
+// Submit, it reads input when the run starts; leave it unmodified until
+// the handle resolves.
 func (s *Service) SubmitWith(name string, input *sparse.Dense, at time.Duration, opts SubmitOptions) *Handle {
 	idx := s.submitSeq
 	s.submitSeq++
@@ -934,35 +937,11 @@ func (s *Service) Run() error {
 	return nil
 }
 
-// mergeMemo caches merged coalescing batches by the identity of their
-// member inputs. Replays and planner probes drive identical traces through
-// the scheduler repeatedly, producing the same coalesced batches from the
-// same (memoised) query inputs; returning the previous merged matrix keeps
-// batch assembly — and, downstream, the input staging encode keyed off its
-// pointer — off the replay hot path. Bounded like the input memo; merged
-// batches are read-only in the engine (handlers copy into local activation
-// buffers), so sharing one matrix across runs and lanes is safe.
-var (
-	mergeMemo     sync.Map // string key -> *sparse.Dense
-	mergeMemoSize atomic.Int64
-)
-
-const mergeMemoCap = 4096
-
 // mergeInputs concatenates the batch's activation matrices column-wise
 // into one engine input, in admission order.
 func mergeInputs(neurons int, b *batch) *sparse.Dense {
 	if len(b.reqs) == 1 {
 		return b.reqs[0].input
-	}
-	var kb strings.Builder
-	fmt.Fprintf(&kb, "%d", neurons)
-	for _, r := range b.reqs {
-		fmt.Fprintf(&kb, "|%p", r.input)
-	}
-	key := kb.String()
-	if v, ok := mergeMemo.Load(key); ok {
-		return v.(*sparse.Dense)
 	}
 	out := sparse.NewDense(neurons, b.samples)
 	off := 0
@@ -971,11 +950,6 @@ func mergeInputs(neurons int, b *batch) *sparse.Dense {
 			copy(out.Row(row)[off:off+r.input.Cols], r.input.Row(row))
 		}
 		off += r.input.Cols
-	}
-	if mergeMemoSize.Load() < mergeMemoCap {
-		if _, loaded := mergeMemo.LoadOrStore(key, out); !loaded {
-			mergeMemoSize.Add(1)
-		}
 	}
 	return out
 }
@@ -1013,7 +987,8 @@ type Response struct {
 	// request was served.
 	Endpoint string
 	RunID    string
-	// Output is this request's slice of the activation output.
+	// Output is this request's slice of the activation output. It is the
+	// caller's own matrix, shared with no other request or run.
 	Output *sparse.Dense
 	// Latency is arrival to result availability, including coalescing
 	// wait and admission queueing.

@@ -132,7 +132,7 @@ func (s *Service) ReplayStream(stream workload.TraceStream, opts ReplayOptions) 
 				feedErr = fmt.Errorf("serve: route returned unknown endpoint %q", name)
 				return
 			}
-			in := model.GenerateInputsCached(q.Neurons, q.Samples, opts.Density, opts.Seed+int64(submitted))
+			in := model.GenerateInputs(q.Neurons, q.Samples, opts.Density, opts.Seed+int64(submitted))
 			var so SubmitOptions
 			if opts.Submit != nil {
 				so = opts.Submit(submitted, q)

@@ -13,6 +13,8 @@
 //	kernelgo    no raw go statements in simulation-domain packages
 //	maporder    no order-sensitive work inside range-over-map bodies
 //	spanend     every span started is ended (or handed off)
+//	globalcache no process-global caches (package-level sync.Map or
+//	            runtime-written maps) in simulation-domain packages
 //
 // Findings are suppressed only by a reasoned directive on the line or
 // the line above:
@@ -38,6 +40,7 @@ import (
 
 	"fsdinference/tools/simlint/analysis"
 	"fsdinference/tools/simlint/loader"
+	"fsdinference/tools/simlint/passes/globalcache"
 	"fsdinference/tools/simlint/passes/globalrand"
 	"fsdinference/tools/simlint/passes/kernelgo"
 	"fsdinference/tools/simlint/passes/maporder"
@@ -52,6 +55,7 @@ var Analyzers = []*analysis.Analyzer{
 	kernelgo.Analyzer,
 	maporder.Analyzer,
 	spanend.Analyzer,
+	globalcache.Analyzer,
 }
 
 func main() {
