@@ -1,10 +1,5 @@
 # Tier-1 verification: formatting, static checks, build, tests.
-.PHONY: check fmt vet build test lint perfbench-check bench bench-guard profile
-
-# BENCH_N is this PR's point on the perf trajectory: bump it each PR so
-# `make bench` appends a new BENCH_N.json and benchguard compares it
-# against the previous one.
-BENCH_N := 9
+.PHONY: check fmt vet build test lint perfbench-check fuzz bench bench-guard profile
 
 check: fmt vet build test lint perfbench-check
 
@@ -36,15 +31,21 @@ perfbench-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	cd perfbench && go vet ./... && go test ./...
 
+# fuzz runs each native fuzz target for 10s. The seed corpora also run
+# as plain tests under `go test ./...`.
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wire
+	go test -run '^$$' -fuzz '^FuzzDecodeCSR$$' -fuzztime 10s ./internal/model
+
 bench: bench-guard
 	go test -bench . -benchtime 1x .
 
-# bench-guard appends this PR's perf-trajectory point and fails on a >25%
-# serving-replay ns/op regression against the previous BENCH_*.json. CI
-# runs this target, so the BENCH_N filename has a single source of truth.
+# bench-guard measures a fresh perf-trajectory point and gates it against
+# the highest-numbered committed BENCH_*.json (tools/benchguard has the
+# series table and its bounds). It writes nothing; `go run
+# ./tools/benchguard -write` appends the point as the next BENCH_<k>.json.
 bench-guard:
-	go run ./tools/benchjson -out BENCH_$(BENCH_N).json
-	go run ./tools/benchguard -new BENCH_$(BENCH_N).json
+	go run ./tools/benchguard
 
 # profile captures CPU and heap profiles of the benchmark named by
 # PROFILE_BENCH (default: the million-query replay) and prints the top-10

@@ -170,6 +170,9 @@ type replayRun struct {
 // replayStart drains in-flight work, opens the metering window, submits
 // the routed trace and drives the kernel until everything resolves.
 func (s *Service) replayStart(route func() ([]routedQuery, error), opts ReplayOptions) (*replayRun, error) {
+	if err := s.checkChaos(opts.Chaos); err != nil {
+		return nil, err
+	}
 	// Drain any requests already in flight first, so the metered window
 	// below measures this trace and nothing else.
 	if err := s.Run(); err != nil {
@@ -203,10 +206,7 @@ func (s *Service) replayStart(route func() ([]routedQuery, error), opts ReplayOp
 		run.handles[i] = s.submit(it.name, run.inputs[i], base+it.q.At, so, nil, it.idx)
 	}
 
-	run.chaos, err = s.scheduleChaos(base, opts.Chaos)
-	if err != nil {
-		return nil, err
-	}
+	run.chaos = s.scheduleChaos(base, opts.Chaos)
 
 	if err := s.Run(); err != nil {
 		return nil, err
@@ -291,14 +291,23 @@ type chaosCounters struct {
 	kills, partitions, skipped int
 }
 
-// scheduleChaos arms the chaos events on the kernel timeline relative to
-// base and returns the counters they will populate as they fire.
-func (s *Service) scheduleChaos(base time.Duration, events []ChaosEvent) (*chaosCounters, error) {
-	c := &chaosCounters{}
+// checkChaos rejects a chaos schedule that names an unknown endpoint. A
+// replay calls it before it submits anything, so a rejected replay leaves
+// no query pending.
+func (s *Service) checkChaos(events []ChaosEvent) error {
 	for i, ev := range events {
 		if ev.Endpoint != "" && s.byName[ev.Endpoint] == nil {
-			return nil, fmt.Errorf("serve: chaos event %d targets unknown endpoint %q", i, ev.Endpoint)
+			return fmt.Errorf("serve: chaos event %d targets unknown endpoint %q", i, ev.Endpoint)
 		}
+	}
+	return nil
+}
+
+// scheduleChaos arms checked chaos events on the kernel timeline relative
+// to base and returns the counters they will populate as they fire.
+func (s *Service) scheduleChaos(base time.Duration, events []ChaosEvent) *chaosCounters {
+	c := &chaosCounters{}
+	for _, ev := range events {
 		ev := ev
 		s.env.K.At(base+ev.At, func() {
 			cl := s.chaosTarget(ev.Endpoint)
@@ -326,7 +335,7 @@ func (s *Service) scheduleChaos(base time.Duration, events []ChaosEvent) (*chaos
 			}
 		})
 	}
-	return c, nil
+	return c
 }
 
 // chaosTarget resolves a chaos event's target cluster at fire time: the

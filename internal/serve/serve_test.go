@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -284,6 +285,47 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a, "endpoint small") || !strings.Contains(a, "endpoint large") {
 		t.Fatalf("report missing endpoint sections:\n%s", a)
+	}
+}
+
+// TestRejectedReplaySubmitsNothing: a replay whose chaos schedule is
+// rejected must leave nothing pending, so the next replay on the same
+// service reports exactly what it would on a fresh one.
+func TestRejectedReplaySubmitsNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replay is a long simulation")
+	}
+	trace := workload.Day(40*8, []int{128, 256}, 8, 7)
+	bad := ReplayOptions{Seed: 11, Chaos: []ChaosEvent{{Kind: KillNode, Endpoint: "nope"}}}
+	for _, tc := range []struct {
+		name   string
+		replay func(*Service, ReplayOptions) (*Report, error)
+	}{
+		{"Replay", func(s *Service, o ReplayOptions) (*Report, error) { return s.Replay(trace, o) }},
+		{"ReplayStream", func(s *Service, o ReplayOptions) (*Report, error) {
+			return s.ReplayStream(workload.Stream(trace, 8), o)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := replayService(t)
+			if _, err := tc.replay(svc, bad); err == nil {
+				t.Fatal("chaos event against unknown endpoint did not fail")
+			}
+			if n := len(svc.pending); n != 0 {
+				t.Fatalf("rejected replay left %d queries pending", n)
+			}
+			got, err := tc.replay(svc, ReplayOptions{Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := tc.replay(replayService(t), ReplayOptions{Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("replay after a rejected one differs from a fresh service's:\n--- after ---\n%s\n--- fresh ---\n%s", got, want)
+			}
+		})
 	}
 }
 

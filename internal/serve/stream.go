@@ -37,6 +37,9 @@ func (s *Service) ReplayStream(stream workload.TraceStream, opts ReplayOptions) 
 	if opts.Verify {
 		return nil, fmt.Errorf("serve: Verify is not supported in streaming replay (outputs are released as queries resolve)")
 	}
+	if err := s.checkChaos(opts.Chaos); err != nil {
+		return nil, err
+	}
 	route := opts.Route
 	if route == nil {
 		route = func(q workload.Query) (string, bool) {
@@ -152,10 +155,7 @@ func (s *Service) ReplayStream(stream workload.TraceStream, opts ReplayOptions) 
 		return nil, feedErr
 	}
 
-	chaos, err := s.scheduleChaos(base, opts.Chaos)
-	if err != nil {
-		return nil, err
-	}
+	chaos := s.scheduleChaos(base, opts.Chaos)
 
 	if err := s.Run(); err != nil {
 		return nil, err

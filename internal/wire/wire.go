@@ -195,10 +195,13 @@ func Decode(b []byte) (*RowSet, error) {
 	}
 	batch := int(binary.LittleEndian.Uint32(body[0:4]))
 	n := int(binary.LittleEndian.Uint32(body[4:8]))
-	want := 8 + n*4 + n*batch*4
-	if len(body) != want {
-		return nil, fmt.Errorf("wire: payload body is %d bytes, want %d (batch=%d rows=%d)",
-			len(body), want, batch, n)
+	// The body must be exactly 8 + 4n + 4n*batch bytes. The header is
+	// untrusted, so check it without forming n*batch, which can overflow
+	// and pass a wrapped length check.
+	vals := len(body) - 8 - 4*n
+	if vals < 0 || (n == 0 && vals != 0) || (n > 0 && (vals%(4*n) != 0 || vals/(4*n) != batch)) {
+		return nil, fmt.Errorf("wire: payload body is %d bytes, which does not fit batch=%d rows=%d",
+			len(body), batch, n)
 	}
 	rs := &RowSet{
 		Batch: batch,

@@ -1,336 +1,304 @@
-// Command benchguard compares a freshly emitted BENCH_N.json against the
-// most recent previous BENCH_*.json in the same directory and fails when
-// the serving-replay ns/op regressed by more than the threshold. Together
-// with tools/benchjson it turns the per-PR BENCH_N files into an enforced
-// perf trajectory: every PR appends a point, and CI rejects a >25%
-// slowdown of the serving hot path.
+// Command benchguard keeps the repo's perf trajectory, the committed
+// BENCH_<k>.json points. It measures a fresh point — every workload in
+// internal/benchwork, the same code the root package's Benchmark functions
+// run — and gates it against the highest-numbered committed point. Each
+// series is one row of the table below; emission, gating and -history all
+// loop over it, so adding a series costs one row plus its measurement.
 //
-// The baseline was measured on whatever machine emitted it, so a slice of
-// the threshold absorbs hardware variance; widen it with -threshold if a
-// runner class change (not code) trips the gate.
+// The baseline was measured on whatever machine emitted it, so the
+// cross-point gates compare hardware as well as code. The within-point
+// overhead gates do not: both numbers come from one run on one host.
 //
 // Usage:
 //
-//	go run ./tools/benchguard [-new BENCH_2.json] [-threshold 0.25]
-//	go run ./tools/benchguard -history
-//
-// -history prints the full BENCH_* trajectory the guard is protecting —
-// every point in sequence order with its ns/op and the step-to-step
-// change — instead of guarding.
+//	go run ./tools/benchguard           # measure and gate; writes nothing
+//	go run ./tools/benchguard -write    # also append the point as BENCH_<k+1>.json
+//	go run ./tools/benchguard -history  # print the committed trajectory
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"fsdinference"
+	"fsdinference/internal/benchwork"
 )
 
-type benchPoint struct {
-	Benchmark string `json:"benchmark"`
-	NsPerOp   int64  `json:"ns_per_op"`
-	Queries   int    `json:"queries"`
-	Samples   int    `json:"samples"`
-	Failed    int    `json:"failed"`
+// maxRegression is how far a cross-point series may move in its worse
+// direction against the baseline point, as a fraction of the baseline.
+const maxRegression = 0.25
 
-	// Cluster-channel gate (BENCH_4 onward): guarded like the serving
-	// replay once both the new point and the baseline carry it.
-	ClusterBenchmark string `json:"cluster_benchmark"`
-	ClusterNsPerOp   int64  `json:"cluster_ns_per_op"`
+// gate says how a series is checked.
+type gate int
 
-	// Collectives and hybrid-channel gates (BENCH_5 onward), guarded the
-	// same way. The tree allreduce and the hybrid channel are the guarded
-	// series; the flat allreduce rides along as the comparison baseline.
-	AllreduceFlatNsPerOp int64 `json:"allreduce_flat_ns_per_op"`
-	AllreduceTreeNsPerOp int64 `json:"allreduce_tree_ns_per_op"`
-	HybridNsPerOp        int64 `json:"hybrid_ns_per_op"`
+const (
+	record gate = iota // recorded, never gated
+	lower              // lower is better: may rise at most maxRegression
+	higher             // higher is better: may fall at most maxRegression
+	zero               // must be 0
+)
 
-	// Million-query streaming replay gate (BENCH_6 onward). Queries/sec,
-	// so higher is better: the regression sign is inverted relative to the
-	// ns/op series, and an absolute floor (-minqps) backs the relative
-	// gate.
-	MillionQueriesPerSec float64 `json:"million_queries_per_sec"`
+// A series is one field of a BENCH point.
+type series struct {
+	field string // JSON key
+	unit  string
+	gate  gate
+	// floor is the smallest value a higher-is-better series may take.
+	floor float64
+	// over and budget gate a within-point overhead: this series may exceed
+	// the series named over in the same point by at most budget.
+	over   string
+	budget float64
+}
 
-	// Traced serving replay (BENCH_7 onward): the NsPerOp workload with
-	// 1%-sampled tracing on. Gated two ways — across files like the other
-	// ns/op series, and within the file against NsPerOp so the tracing
-	// overhead itself stays under -traceoverhead.
-	ReplayTracedNsPerOp int64 `json:"replay_traced_ns_per_op"`
+// table lists every series in emission order. A point that lacks a series
+// (it joined the trajectory later) is not gated on it.
+var table = []series{
+	{field: "benchmark", unit: "name"},
+	{field: "ns_per_op", unit: "ns/op", gate: lower},
+	{field: "iterations", unit: "count"},
+	{field: "queries", unit: "count"},
+	{field: "samples", unit: "count"},
+	{field: "failed", unit: "count", gate: zero},
+	{field: "p50_ms", unit: "ms"},
+	{field: "p95_ms", unit: "ms"},
+	{field: "p99_ms", unit: "ms"},
+	{field: "total_cost_usd", unit: "USD"},
+	{field: "cold_starts", unit: "count"},
+	{field: "warm_starts", unit: "count"},
+	{field: "cluster_benchmark", unit: "name"},
+	{field: "cluster_ns_per_op", unit: "ns/op", gate: lower},
+	{field: "allreduce_flat_ns_per_op", unit: "ns/op"},
+	{field: "allreduce_tree_ns_per_op", unit: "ns/op", gate: lower},
+	{field: "hybrid_ns_per_op", unit: "ns/op", gate: lower},
+	{field: "replay_traced_ns_per_op", unit: "ns/op", gate: lower, over: "ns_per_op", budget: 0.15},
+	{field: "monitor_ns_per_op", unit: "ns/op", gate: lower, over: "ns_per_op", budget: 0.10},
+	{field: "million_queries_per_sec", unit: "queries/sec", gate: higher, floor: 100_000},
+}
 
-	// Monitored serving replay (BENCH_9 onward): the NsPerOp workload
-	// under a 5m simulated-time SLO scrape. Gated across files like the
-	// other ns/op series and within the file against NsPerOp so the
-	// monitoring overhead stays under -monitoroverhead.
-	MonitorNsPerOp int64 `json:"monitor_ns_per_op"`
+// A point is one BENCH file: numbers, plus the names of the benchmarks
+// that produced them.
+type point map[string]any
+
+func (p point) num(field string) (float64, bool) {
+	v, ok := p[field].(float64)
+	return v, ok
+}
+
+// marshal renders p in table order, as json.MarshalIndent would a struct.
+func (p point) marshal() []byte {
+	var buf bytes.Buffer
+	sep := "{\n"
+	for _, s := range table {
+		v, ok := p[s.field]
+		if !ok {
+			continue
+		}
+		data, err := json.Marshal(v)
+		if err != nil {
+			panic(err) // a point holds only strings and finite numbers
+		}
+		fmt.Fprintf(&buf, "%s  %q: %s", sep, s.field, data)
+		sep = ",\n"
+	}
+	buf.WriteString("\n}\n")
+	return buf.Bytes()
+}
+
+// measure runs every benchwork workload once under testing.Benchmark.
+func measure() (point, error) {
+	var rep *fsdinference.ServiceReport
+	replay := testing.Benchmark(func(b *testing.B) { rep = benchwork.ServiceReplay(b, benchwork.Plain) })
+	if replay.N == 0 {
+		return nil, errors.New("ns_per_op: the workload failed; go test -bench BenchmarkServiceReplay shows why")
+	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	p := point{
+		"benchmark":         "BenchmarkServiceReplay",
+		"ns_per_op":         float64(replay.NsPerOp()),
+		"iterations":        float64(replay.N),
+		"queries":           float64(rep.Queries),
+		"samples":           float64(rep.Samples),
+		"failed":            float64(rep.Failed),
+		"p50_ms":            ms(rep.Latency.P50),
+		"p95_ms":            ms(rep.Latency.P95),
+		"p99_ms":            ms(rep.Latency.P99),
+		"total_cost_usd":    rep.TotalCost.Total(),
+		"cold_starts":       float64(rep.ColdStarts),
+		"warm_starts":       float64(rep.WarmStarts),
+		"cluster_benchmark": "BenchmarkClusterChannel",
+	}
+	for _, w := range []struct {
+		field, bench string
+		run          func(*testing.B)
+	}{
+		{"replay_traced_ns_per_op", "BenchmarkServiceReplayTraced", func(b *testing.B) { benchwork.ServiceReplay(b, benchwork.Traced) }},
+		{"monitor_ns_per_op", "BenchmarkServiceReplayMonitored", func(b *testing.B) { benchwork.ServiceReplay(b, benchwork.Monitored) }},
+		{"cluster_ns_per_op", "BenchmarkClusterChannel", benchwork.ClusterChannel},
+		{"allreduce_flat_ns_per_op", "BenchmarkAllreduce/flat", func(b *testing.B) { benchwork.Allreduce(b, fsdinference.FlatCollective) }},
+		{"allreduce_tree_ns_per_op", "BenchmarkAllreduce/tree", func(b *testing.B) { benchwork.Allreduce(b, fsdinference.TreeCollective) }},
+		{"hybrid_ns_per_op", "BenchmarkHybridChannel", benchwork.HybridChannel},
+		{"million_queries_per_sec", "BenchmarkMillionQueryReplay", benchwork.MillionQueryReplay},
+	} {
+		r := testing.Benchmark(w.run)
+		if r.N == 0 {
+			return nil, fmt.Errorf("%s: the workload failed; go test -bench %s shows why", w.field, w.bench)
+		}
+		p[w.field] = float64(r.NsPerOp())
+		if qps, ok := r.Extra["queries/sec"]; ok {
+			p[w.field] = qps
+		}
+	}
+	return p, nil
+}
+
+// check gates cur against base (nil when there is no earlier point),
+// logging each comparison to w. The error names every failing series.
+func check(w io.Writer, cur, base point) error {
+	var errs []error
+	for _, s := range table {
+		v, ok := cur.num(s.field)
+		if !ok {
+			continue
+		}
+		switch s.gate {
+		case zero:
+			if v != 0 {
+				errs = append(errs, fmt.Errorf("%s is %g, want 0", s.field, v))
+			}
+		case lower, higher:
+			if s.floor > 0 && v < s.floor {
+				errs = append(errs, fmt.Errorf("%s %.0f %s is below the %.0f floor", s.field, v, s.unit, s.floor))
+			}
+			b, ok := base.num(s.field)
+			if !ok || b <= 0 {
+				fmt.Fprintf(w, "benchguard: %s starts at %.0f %s\n", s.field, v, s.unit)
+				break
+			}
+			change := (v - b) / b
+			fmt.Fprintf(w, "benchguard: %s %.0f vs %.0f %s (%+.1f%%)\n", s.field, v, b, s.unit, 100*change)
+			if s.gate == higher {
+				change = -change
+			}
+			if change > maxRegression {
+				errs = append(errs, fmt.Errorf("%s regressed %.1f%% (> %.0f%% allowed)", s.field, 100*change, 100*maxRegression))
+			}
+		}
+		if o, ok := cur.num(s.over); ok && o > 0 {
+			overhead := (v - o) / o
+			fmt.Fprintf(w, "benchguard: %s over %s in one point: %+.1f%%\n", s.field, s.over, 100*overhead)
+			if overhead > s.budget {
+				errs = append(errs, fmt.Errorf("%s costs %.1f%% over %s (> %.0f%% allowed)", s.field, 100*overhead, s.over, 100*s.budget))
+			}
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// A committed is one BENCH_<seq>.json.
+type committed struct {
+	seq int
+	p   point
 }
 
 var benchFile = regexp.MustCompile(`^BENCH_(\d+)\.json$`)
 
-// latestBench returns the highest-numbered BENCH_*.json in dir, so a bare
-// benchguard run guards the newest trajectory point without duplicating
-// the Makefile's BENCH_N.
-func latestBench(dir string) (string, error) {
+// trajectory reads every BENCH_*.json in dir, in sequence order.
+func trajectory(dir string) ([]committed, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	seq, path := -1, ""
+	var pts []committed
 	for _, e := range entries {
 		m := benchFile.FindStringSubmatch(e.Name())
 		if m == nil {
 			continue
 		}
-		n, _ := strconv.Atoi(m[1])
-		if n > seq {
-			seq, path = n, filepath.Join(dir, e.Name())
-		}
-	}
-	if path == "" {
-		return "", fmt.Errorf("no BENCH_*.json found in %s", dir)
-	}
-	return path, nil
-}
-
-func read(path string) (benchPoint, error) {
-	var p benchPoint
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return p, err
-	}
-	return p, json.Unmarshal(data, &p)
-}
-
-// trajectory returns every BENCH_*.json in dir in sequence order.
-func trajectory(dir string) (seqs []int, paths []string, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	bySeq := map[int]string{}
-	for _, e := range entries {
-		m := benchFile.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		n, _ := strconv.Atoi(m[1])
-		bySeq[n] = filepath.Join(dir, e.Name())
-	}
-	for n := range bySeq {
-		seqs = append(seqs, n)
-	}
-	sort.Ints(seqs)
-	for _, n := range seqs {
-		paths = append(paths, bySeq[n])
-	}
-	return seqs, paths, nil
-}
-
-// printHistory renders the guarded trajectory: one row per BENCH_* point
-// with its serving-replay ns/op and the change against the previous
-// point.
-func printHistory(dir string) error {
-	seqs, paths, err := trajectory(dir)
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no BENCH_*.json found in %s", dir)
-	}
-	fmt.Printf("%-8s %-16s %14s %10s %9s %9s\n", "point", "benchmark", "ns/op", "queries", "samples", "change")
-	var prev int64
-	for i, p := range paths {
-		pt, err := read(p)
+		seq, _ := strconv.Atoi(m[1])
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
+			return nil, err
 		}
-		change := "-"
-		if i > 0 && prev > 0 {
-			change = fmt.Sprintf("%+.1f%%", 100*float64(pt.NsPerOp-prev)/float64(prev))
+		var p point
+		if err := json.Unmarshal(data, &p); err != nil {
+			return nil, fmt.Errorf("%s: %w", e.Name(), err)
 		}
-		name := pt.Benchmark
-		if name == "" {
-			name = "?"
-		}
-		fmt.Printf("BENCH_%-2d %-16s %14d %10d %9d %9s",
-			seqs[i], name, pt.NsPerOp, pt.Queries, pt.Samples, change)
-		if pt.ClusterNsPerOp > 0 {
-			fmt.Printf("  cluster %d ns/op", pt.ClusterNsPerOp)
-		}
-		if pt.AllreduceTreeNsPerOp > 0 {
-			fmt.Printf("  allreduce flat/tree %d/%d ns/op", pt.AllreduceFlatNsPerOp, pt.AllreduceTreeNsPerOp)
-		}
-		if pt.HybridNsPerOp > 0 {
-			fmt.Printf("  hybrid %d ns/op", pt.HybridNsPerOp)
-		}
-		if pt.MillionQueriesPerSec > 0 {
-			fmt.Printf("  million-replay %.0f q/s", pt.MillionQueriesPerSec)
-		}
-		if pt.ReplayTracedNsPerOp > 0 {
-			fmt.Printf("  traced %d ns/op", pt.ReplayTracedNsPerOp)
-		}
-		if pt.MonitorNsPerOp > 0 {
-			fmt.Printf("  monitored %d ns/op", pt.MonitorNsPerOp)
-		}
-		fmt.Println()
-		prev = pt.NsPerOp
+		pts = append(pts, committed{seq, p})
 	}
-	return nil
+	sort.Slice(pts, func(i, j int) bool { return pts[i].seq < pts[j].seq })
+	return pts, nil
+}
+
+// printHistory renders each point's gated series with the change against
+// the previous point, which is what the cross-point gate checks.
+func printHistory(w io.Writer, pts []committed) {
+	for i, c := range pts {
+		fmt.Fprintf(w, "BENCH_%d\n", c.seq)
+		for _, s := range table {
+			v, ok := c.p.num(s.field)
+			if !ok || (s.gate != lower && s.gate != higher) {
+				continue
+			}
+			change := "-"
+			if i > 0 {
+				if b, ok := pts[i-1].p.num(s.field); ok && b > 0 {
+					change = fmt.Sprintf("%+.1f%%", 100*(v-b)/b)
+				}
+			}
+			fmt.Fprintf(w, "  %-26s %14.0f %-11s %8s\n", s.field, v, s.unit, change)
+		}
+	}
 }
 
 func main() {
-	newPath := flag.String("new", "", "freshly emitted bench point (default: highest-numbered BENCH_*.json)")
-	threshold := flag.Float64("threshold", 0.25, "maximum allowed ns/op regression (fraction)")
-	minQPS := flag.Float64("minqps", 100_000, "absolute floor for the million-query replay (queries/sec)")
-	traceOverhead := flag.Float64("traceoverhead", 0.15, "maximum tracing overhead: traced vs untraced serving replay within one file (fraction)")
-	monitorOverhead := flag.Float64("monitoroverhead", 0.10, "maximum monitoring overhead: monitored vs plain serving replay within one file (fraction)")
-	history := flag.Bool("history", false, "print the full BENCH_* trajectory being guarded and exit")
+	write := flag.Bool("write", false, "append the fresh point as the next BENCH_<k>.json")
+	history := flag.Bool("history", false, "print the committed trajectory and exit")
 	flag.Parse()
+	log.SetFlags(0)
 
+	pts, err := trajectory(".")
+	if err != nil {
+		log.Fatalf("benchguard: %v", err)
+	}
 	if *history {
-		if err := printHistory("."); err != nil {
-			log.Fatalf("benchguard: %v", err)
-		}
+		printHistory(os.Stdout, pts)
 		return
 	}
-
-	if *newPath == "" {
-		latest, err := latestBench(".")
-		if err != nil {
+	cur, err := measure()
+	if err != nil {
+		log.Fatalf("benchguard: %v", err)
+	}
+	fmt.Printf("benchguard: fresh point\n%s", cur.marshal())
+	var base point
+	next := 1
+	if len(pts) > 0 {
+		last := pts[len(pts)-1]
+		base, next = last.p, last.seq+1
+		fmt.Printf("benchguard: baseline BENCH_%d.json\n", last.seq)
+	}
+	if *write {
+		name := fmt.Sprintf("BENCH_%d.json", next)
+		if err := os.WriteFile(name, cur.marshal(), 0o644); err != nil {
 			log.Fatalf("benchguard: %v", err)
 		}
-		*newPath = latest
+		fmt.Printf("benchguard: wrote %s\n", name)
 	}
-	m := benchFile.FindStringSubmatch(filepath.Base(*newPath))
-	if m == nil {
-		log.Fatalf("benchguard: %q is not a BENCH_N.json file", *newPath)
-	}
-	newSeq, _ := strconv.Atoi(m[1])
-
-	cur, err := read(*newPath)
-	if err != nil {
-		log.Fatalf("benchguard: %v", err)
-	}
-	if cur.Failed > 0 {
-		log.Fatalf("benchguard: %s reports %d failed queries", *newPath, cur.Failed)
-	}
-
-	// The comparison baseline is the highest-numbered earlier point.
-	dir := filepath.Dir(*newPath)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		log.Fatalf("benchguard: %v", err)
-	}
-	prevSeq, prevPath := -1, ""
-	for _, e := range entries {
-		sm := benchFile.FindStringSubmatch(e.Name())
-		if sm == nil {
-			continue
-		}
-		seq, _ := strconv.Atoi(sm[1])
-		if seq < newSeq && seq > prevSeq {
-			prevSeq, prevPath = seq, filepath.Join(dir, e.Name())
-		}
-	}
-	if prevPath == "" {
-		fmt.Printf("benchguard: no earlier BENCH_*.json; %s starts the trajectory at %d ns/op\n",
-			*newPath, cur.NsPerOp)
-		return
-	}
-	prev, err := read(prevPath)
-	if err != nil {
-		log.Fatalf("benchguard: %v", err)
-	}
-	if prev.NsPerOp <= 0 {
-		log.Fatalf("benchguard: %s has no ns/op", prevPath)
-	}
-
-	change := float64(cur.NsPerOp-prev.NsPerOp) / float64(prev.NsPerOp)
-	fmt.Printf("benchguard: %s %d ns/op vs %s %d ns/op (%+.1f%%)\n",
-		*newPath, cur.NsPerOp, prevPath, prev.NsPerOp, 100*change)
-	if change > *threshold {
-		log.Fatalf("benchguard: serving replay regressed %.1f%% (> %.0f%% allowed)",
-			100*change, 100**threshold)
-	}
-	// Later-joining series gate the same way once both the new point and
-	// the baseline carry them: the cluster channel from BENCH_4, the tree
-	// allreduce and the hybrid channel from BENCH_5. The first file
-	// bearing a series just starts it.
-	series := []struct {
-		name      string
-		cur, base int64
-	}{
-		{"cluster channel", cur.ClusterNsPerOp, prev.ClusterNsPerOp},
-		{"tree allreduce", cur.AllreduceTreeNsPerOp, prev.AllreduceTreeNsPerOp},
-		{"hybrid channel", cur.HybridNsPerOp, prev.HybridNsPerOp},
-		{"traced replay", cur.ReplayTracedNsPerOp, prev.ReplayTracedNsPerOp},
-		{"monitored replay", cur.MonitorNsPerOp, prev.MonitorNsPerOp},
-	}
-	for _, s := range series {
-		switch {
-		case s.cur > 0 && s.base > 0:
-			schange := float64(s.cur-s.base) / float64(s.base)
-			fmt.Printf("benchguard: %s %d ns/op vs %d ns/op (%+.1f%%)\n",
-				s.name, s.cur, s.base, 100*schange)
-			if schange > *threshold {
-				log.Fatalf("benchguard: %s regressed %.1f%% (> %.0f%% allowed)",
-					s.name, 100*schange, 100**threshold)
-			}
-		case s.cur > 0:
-			fmt.Printf("benchguard: no earlier %s point; %s starts that series at %d ns/op\n",
-				s.name, *newPath, s.cur)
-		}
-	}
-	// The million-query replay series (BENCH_6 onward) is in queries/sec,
-	// so a regression is a DROP: the sign inverts relative to the ns/op
-	// series, and an absolute floor backs the relative gate so the series
-	// cannot drift below the replay engine's throughput target 25% per PR.
-	if qps := cur.MillionQueriesPerSec; qps > 0 {
-		if qps < *minQPS {
-			log.Fatalf("benchguard: million-query replay %.0f q/s below the %.0f q/s floor", qps, *minQPS)
-		}
-		if base := prev.MillionQueriesPerSec; base > 0 {
-			drop := (base - qps) / base
-			fmt.Printf("benchguard: million-query replay %.0f q/s vs %.0f q/s (%+.1f%%)\n",
-				qps, base, 100*(qps-base)/base)
-			if drop > *threshold {
-				log.Fatalf("benchguard: million-query replay dropped %.1f%% (> %.0f%% allowed)",
-					100*drop, 100**threshold)
-			}
-		} else {
-			fmt.Printf("benchguard: no earlier million-query point; %s starts that series at %.0f q/s\n",
-				*newPath, qps)
-		}
-	}
-	// The tracing-overhead gate (BENCH_7 onward) is within-file: the traced
-	// serving replay against the untraced one in the SAME point, so the
-	// comparison is hardware-invariant — both numbers come from one run on
-	// one machine, and the delta is the observability layer's price alone.
-	if cur.ReplayTracedNsPerOp > 0 && cur.NsPerOp > 0 {
-		overhead := float64(cur.ReplayTracedNsPerOp-cur.NsPerOp) / float64(cur.NsPerOp)
-		fmt.Printf("benchguard: tracing overhead %d ns/op traced vs %d ns/op untraced (%+.1f%%)\n",
-			cur.ReplayTracedNsPerOp, cur.NsPerOp, 100*overhead)
-		if overhead > *traceOverhead {
-			log.Fatalf("benchguard: tracing overhead %.1f%% (> %.0f%% allowed)",
-				100*overhead, 100**traceOverhead)
-		}
-	}
-	// The monitoring-overhead gate (BENCH_9 onward) mirrors the tracing
-	// one: monitored against plain serving replay within the SAME point,
-	// so the delta is the SLO monitor's price alone — per-request metric
-	// increments plus scrape events on the kernel.
-	if cur.MonitorNsPerOp > 0 && cur.NsPerOp > 0 {
-		overhead := float64(cur.MonitorNsPerOp-cur.NsPerOp) / float64(cur.NsPerOp)
-		fmt.Printf("benchguard: monitoring overhead %d ns/op monitored vs %d ns/op plain (%+.1f%%)\n",
-			cur.MonitorNsPerOp, cur.NsPerOp, 100*overhead)
-		if overhead > *monitorOverhead {
-			log.Fatalf("benchguard: monitoring overhead %.1f%% (> %.0f%% allowed)",
-				100*overhead, 100**monitorOverhead)
-		}
+	if err := check(os.Stdout, cur, base); err != nil {
+		log.Fatalf("benchguard: %s", strings.ReplaceAll(err.Error(), "\n", "\nbenchguard: "))
 	}
 	fmt.Println("benchguard: within budget")
 }
