@@ -36,6 +36,7 @@ perfbench-check:
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wire
 	go test -run '^$$' -fuzz '^FuzzDecodeCSR$$' -fuzztime 10s ./internal/model
+	go test -run '^$$' -fuzz '^FuzzParseSLO$$' -fuzztime 10s ./internal/obs/monitor
 
 bench: bench-guard
 	go test -bench . -benchtime 1x .

@@ -13,7 +13,7 @@
 //
 // Everything is simulated time: the same trace at the same seed and
 // sampling rate produces a byte-identical trace.json on every run — and
-// on every replay mode (Replay, ReplayLanes, ReplayStream).
+// on both replay modes (Replay, ReplayStream).
 package main
 
 import (

@@ -371,7 +371,7 @@ func WithEndpointRunConcurrency(n int) EndpointOption {
 // registry snapshots counters, gauges and log-linear latency histograms
 // mid-replay. Sampling is keyed on the request's trace index, so the
 // same workload at the same rate exports byte-identical traces whether
-// it replays on one kernel, sharded across lanes, or streamed. With
+// it replays the whole trace (Replay) or streams it (ReplayStream). With
 // tracing off (the default) every hook is a single pointer check:
 //
 //	svc, _ := fsdinference.NewService(env, ..., fsdinference.WithTracing(100))
@@ -409,7 +409,7 @@ func WithTracing(sampleEvery int) ServiceOption { return serve.WithTracing(sampl
 // Passive — feeds firing pages back into the serving layer: an SLO
 // endpoint re-plans immediately with a latency-biased objective and a
 // fixed endpoint gets an emergency replica. Scrapes ride the kernel, so
-// single, laned and streamed replays export byte-identical series and
+// whole-trace and streamed replays export byte-identical series and
 // alert logs; with monitoring off every hook is one pointer check:
 //
 //	spec := fsdinference.MonitorSpec{

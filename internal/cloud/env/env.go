@@ -53,17 +53,13 @@ type Env struct {
 	KV      *kvstore.Service
 	Pricing pricing.Catalog
 
-	// Cfg is the configuration the environment was built from, retained so
-	// clones (e.g. per-lane replay environments) can be constructed.
-	Cfg Config
-
 	deploySeq int
 }
 
 // NextDeployID sequences deployment names within this environment. Scoping
 // the counter per environment (not process-globally) keeps independent
-// environments — parallel replay lanes, concurrent tests — deterministic
-// and race-free.
+// environments — several services in one process, concurrent tests —
+// deterministic and race-free.
 func (e *Env) NextDeployID() int {
 	e.deploySeq++
 	return e.deploySeq
@@ -74,7 +70,6 @@ func New(cfg Config) *Env {
 	k := sim.New()
 	m := usage.NewMeter()
 	return &Env{
-		Cfg:     cfg,
 		K:       k,
 		Meter:   m,
 		FaaS:    faas.New(k, m, cfg.FaaS),

@@ -121,8 +121,8 @@ type function struct {
 	// rng drives this function's cold-start jitter. It is scoped per
 	// function (not platform-wide) so a function's jitter sequence depends
 	// only on its own invocation order, never on how other functions'
-	// launches interleave with it — the property that lets sharded replay
-	// lanes reproduce a shared-kernel run exactly.
+	// launches interleave with it, so adding or removing another
+	// function's traffic leaves this one's timeline unchanged.
 	rng *rand.Rand
 }
 

@@ -174,9 +174,8 @@ type Queue struct {
 	nextID   int64
 	// rng drives this queue's short-poll shard sampling. Scoped per queue
 	// (not service-wide) so a queue's sampling sequence depends only on
-	// its own poll order, never on how other queues' polls interleave —
-	// the property that lets sharded replay lanes reproduce a
-	// shared-kernel run exactly.
+	// its own poll order, never on how other queues' polls interleave,
+	// so other queues' traffic leaves this one's timeline unchanged.
 	rng *rand.Rand
 
 	// Stats for experiments and cost validation.

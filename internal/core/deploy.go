@@ -106,7 +106,7 @@ type runState struct {
 // paper's a-priori partitioning and resource pre-creation.
 //
 // Deployment names are sequenced per environment (not process-globally), so
-// independent environments — e.g. parallel replay lanes — name and number
+// independent environments — e.g. concurrent tests — name and number
 // their deployments identically and stay deterministic.
 func Deploy(e *env.Env, cfg Config) (*Deployment, error) {
 	cfg = cfg.withDefaults()

@@ -19,8 +19,8 @@ import (
 // threads are numbered from the sorted track names, and events are
 // ordered by (timestamp, rendered bytes). Two tracers holding the same
 // spans therefore serialize to the same bytes regardless of the order
-// the spans were recorded or merged in — the property that makes
-// single-kernel, laned and streamed replays byte-comparable.
+// the spans were recorded in — the property that makes whole-trace and
+// streamed replays byte-comparable.
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n")

@@ -13,10 +13,7 @@ import (
 // NewHistogram), so a reported percentile is the upper edge of a bucket
 // at most 1/sub of its decade wide — within ~6% of the exact
 // nearest-rank value at the default resolution, deterministically.
-// Count, sum, min and max are exact. Histograms merge by bucket-wise
-// addition, so per-lane accounts combine losslessly — but only between
-// identical bucket geometries: Merge panics on a sub-bucket mismatch
-// rather than silently folding counts into the wrong decades.
+// Count, sum, min and max are exact.
 //
 // This is the serving layer's latency histogram (it began life in
 // internal/serve); the serving reports and the metrics registry share
@@ -174,9 +171,8 @@ func (h *Histogram) CountAtMost(d time.Duration) int {
 // earlier snapshot (plain struct copy) of the same histogram. Count and
 // sum are exact differences; min and max are bucket-derived (the lowest
 // and highest nonzero delta bucket's upper bound) so that windowed
-// percentiles depend only on bucket contents, never on which replay lane
-// happened to observe the extremes first. Panics if the geometries
-// differ.
+// percentiles depend only on bucket contents. Panics if the geometries
+// differ, rather than reading counts from the wrong decades.
 func (h *Histogram) Delta(prev *Histogram) Histogram {
 	if prev == nil || prev.count == 0 {
 		return *h
@@ -207,45 +203,4 @@ func (h *Histogram) Delta(prev *Histogram) Histogram {
 	d.min = upperBound(d.lo, sub)
 	d.max = upperBound(d.hi, sub)
 	return d
-}
-
-// Merge adds another histogram's observations bucket-wise; count, sum,
-// min and max stay exact. The bucket geometries must match: merging a
-// 4-sub-bucket histogram into a 16-sub-bucket one would scatter its
-// counts across the wrong decades, so Merge panics instead (an empty
-// default-geometry receiver adopts the argument's geometry first, which
-// keeps registry folds over zero-value histograms working).
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if h.count == 0 && h.sub == 0 {
-		h.sub = o.sub
-	}
-	if h.subdiv() != o.subdiv() {
-		panic(fmt.Sprintf("obs: Histogram.Merge: mismatched bucket geometry (%d vs %d sub-buckets per decade)", h.subdiv(), o.subdiv()))
-	}
-	if h.count == 0 {
-		h.min, h.lo, h.hi = o.min, o.lo, o.hi
-	} else {
-		if o.min < h.min {
-			h.min = o.min
-		}
-		if o.lo < h.lo {
-			h.lo = o.lo
-		}
-		if o.hi > h.hi {
-			h.hi = o.hi
-		}
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	for i := o.lo; i <= o.hi; i++ {
-		if c := o.buckets[i]; c != 0 {
-			h.buckets[i] += c
-		}
-	}
 }

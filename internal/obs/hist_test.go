@@ -117,88 +117,9 @@ func sweepDurations() []time.Duration {
 	return out
 }
 
-// TestHistMerge: merging two halves equals observing everything in one
-// histogram — bucket for bucket.
-func TestHistMerge(t *testing.T) {
-	var whole, a, b Histogram
-	for i := 0; i < 500; i++ {
-		d := time.Duration(i*i) * time.Microsecond
-		whole.Observe(d)
-		if i%2 == 0 {
-			a.Observe(d)
-		} else {
-			b.Observe(d)
-		}
-	}
-	a.Merge(&b)
-	a.Merge(nil)          // no-op
-	a.Merge(&Histogram{}) // empty no-op
-	if a.Count() != whole.Count() || a.Sum() != whole.Sum() ||
-		a.Min() != whole.Min() || a.Max() != whole.Max() {
-		t.Fatalf("merged stats diverge: count %d/%d sum %v/%v",
-			a.Count(), whole.Count(), a.Sum(), whole.Sum())
-	}
-	for _, p := range []int{1, 25, 50, 75, 95, 99, 100} {
-		if a.Quantile(p) != whole.Quantile(p) {
-			t.Errorf("p%d: merged %v, whole %v", p, a.Quantile(p), whole.Quantile(p))
-		}
-	}
-
-	// Merging into an empty histogram copies min/max exactly.
-	var empty Histogram
-	empty.Merge(&whole)
-	if empty.Min() != whole.Min() || empty.Max() != whole.Max() {
-		t.Errorf("empty-merge min/max wrong: %v/%v", empty.Min(), empty.Max())
-	}
-}
-
-// TestHistMergeGeometryMismatch: merging histograms with different
-// sub-bucket resolutions used to fold counts into the wrong decades
-// silently; it must panic instead. An empty default-geometry receiver
-// (the registry's zero value) still adopts the argument's geometry.
-func TestHistMergeGeometryMismatch(t *testing.T) {
-	coarse := NewHistogram(4)
-	fine := NewHistogram(16)
-	coarse.Observe(3 * time.Millisecond)
-	fine.Observe(5 * time.Millisecond)
-
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: mismatched geometry did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("Merge fine into coarse", func() { coarse.Merge(fine) })
-	mustPanic("Merge coarse into fine", func() { fine.Merge(coarse) })
-	snap := *fine
-	mustPanic("Delta across geometries", func() { coarse.Delta(&snap) })
-
-	// A zero-value (default-geometry) empty receiver adopts the
-	// argument's geometry rather than panicking — registry folds start
-	// from zero values.
-	var zero Histogram
-	zero.Merge(coarse)
-	if zero.Count() != 1 || zero.Quantile(50) != coarse.Quantile(50) {
-		t.Errorf("empty zero-value merge: count=%d p50=%v, want 1/%v",
-			zero.Count(), zero.Quantile(50), coarse.Quantile(50))
-	}
-	mustPanic("adopted geometry then mismatch", func() { zero.Merge(fine) })
-
-	// Same-geometry non-default merges still work.
-	c2 := NewHistogram(4)
-	c2.Observe(7 * time.Millisecond)
-	coarse.Merge(c2)
-	if coarse.Count() != 2 {
-		t.Errorf("same-geometry merge count = %d, want 2", coarse.Count())
-	}
-}
-
 // TestHistDelta: a snapshot copy plus Delta recovers exactly the
 // observations made in between, with bucket-identical quantiles and
-// bucket-derived (lane-order-independent) min/max.
+// bucket-derived min/max.
 func TestHistDelta(t *testing.T) {
 	var h Histogram
 	for i := 1; i <= 100; i++ {
@@ -231,6 +152,34 @@ func TestHistDelta(t *testing.T) {
 	idle := h
 	if d := h.Delta(&idle); d.Count() != 0 {
 		t.Errorf("idle delta count = %d, want 0", d.Count())
+	}
+}
+
+// TestHistMergeGeometryMismatch: combining histograms of different
+// bucket geometries would read counts from the wrong decades, so Delta
+// panics instead; same-geometry non-default deltas still work.
+func TestHistMergeGeometryMismatch(t *testing.T) {
+	coarse := NewHistogram(4)
+	fine := NewHistogram(16)
+	coarse.Observe(3 * time.Millisecond)
+	fine.Observe(5 * time.Millisecond)
+
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: mismatched geometry did not panic", name)
+			}
+		}()
+		fn()
+	}
+	fineSnap, coarseSnap := *fine, *coarse
+	mustPanic("Delta coarse against fine", func() { coarse.Delta(&fineSnap) })
+	mustPanic("Delta fine against coarse", func() { fine.Delta(&coarseSnap) })
+
+	coarse.Observe(7 * time.Millisecond)
+	if d := coarse.Delta(&coarseSnap); d.Count() != 1 {
+		t.Errorf("same-geometry delta count = %d, want 1", d.Count())
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // WriteCSV dumps every retained window of every endpoint as a CSV
 // time-series, endpoints in name order, windows oldest first. The column
-// set is fixed and the row order canonical, so single, laned and
-// streamed replays of the same trace produce byte-identical dumps.
+// set is fixed and the row order canonical, so whole-trace and streamed
+// replays of the same trace produce byte-identical dumps.
 func (m *Monitor) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "endpoint,window,start_s,end_s,requests,rps,failures,shed,rerouted,cold_starts,warm_starts,kv_failovers,kv_lost_values,queue_depth,replicas,lat_count,p50_ms,p95_ms,p99_ms,health"); err != nil {
 		return err

@@ -12,18 +12,13 @@
 // schedules its next scrape on the owning service's simulated kernel,
 // aligned to base + k·Interval boundaries, and each window is finalized
 // exactly once, in window order, from the instruments' state at that
-// simulated instant. Because windows are per-endpoint and replay lanes
-// own disjoint endpoint sets, a laned replay produces the same
-// per-endpoint windows as a single-kernel one; merging lanes is a union
-// of series keyed by (endpoint, window index) plus an alert-log
-// concatenation, and the exporters order both canonically. Single, laned
-// and streamed replays therefore export byte-identical time-series CSVs
-// and alert logs (tested in internal/serve).
+// simulated instant, and the exporters order series and alerts
+// canonically. Whole-trace and streamed replays therefore export
+// byte-identical time-series CSVs and alert logs (tested in
+// internal/serve).
 //
 // The scrape chain re-arms itself only while the service has unresolved
-// requests, so a drained kernel terminates; a finishing replay advances
-// dormant chains to the global end boundary (RunTo) so every lane
-// finalizes the same number of windows.
+// requests, so a drained kernel terminates.
 package monitor
 
 import (
@@ -191,7 +186,6 @@ type Monitor struct {
 	base    time.Duration
 	started bool
 	armed   bool
-	limit   time.Duration // RunTo catch-up bound; 0 = pending-driven
 
 	alerts []AlertEvent
 	sinks  []func(AlertEvent)
@@ -271,7 +265,7 @@ func (m *Monitor) Register(t Target) {
 // Subscribe adds an alert sink. Sinks run inside the finalizing kernel
 // event, in registration order, for every alert transition — which makes
 // their side effects (an early re-plan, a pool boost) land at the same
-// simulated instant in single, laned and streamed replays.
+// simulated instant in every replay mode.
 func (m *Monitor) Subscribe(fn func(AlertEvent)) {
 	m.sinks = append(m.sinks, fn)
 }
@@ -282,7 +276,6 @@ func (m *Monitor) Subscribe(fn func(AlertEvent)) {
 func (m *Monitor) Start(base time.Duration) {
 	m.base = base
 	m.started = true
-	m.limit = 0
 	m.alerts = m.alerts[:0]
 	for _, t := range m.targets {
 		t.reset()
@@ -304,8 +297,7 @@ func (m *Monitor) arm() {
 }
 
 // tick is the scrape event: finalize every window that has closed by
-// now, then re-arm while the service still has work in flight (or, in
-// RunTo catch-up mode, while boundaries remain before the limit).
+// now, then re-arm while the service still has work in flight.
 func (m *Monitor) tick() {
 	m.armed = false
 	if !m.started {
@@ -313,12 +305,6 @@ func (m *Monitor) tick() {
 	}
 	now := m.clock()
 	m.finalizeTo(now)
-	if m.limit > 0 {
-		if m.base+time.Duration(m.windows())*m.spec.Interval+m.spec.Interval <= m.limit {
-			m.arm()
-		}
-		return
-	}
 	if m.pending != nil && m.pending() {
 		m.arm()
 	}
@@ -331,18 +317,6 @@ func (m *Monitor) windows() int {
 		return 0
 	}
 	return m.targets[0].n
-}
-
-// RunTo arms the scrape chain, as kernel events, up to the global end
-// boundary of a laned replay, so a lane whose own traffic drained early
-// still finalizes the same windows — at the same simulated instants — as
-// the single-kernel replay does while its other endpoints finish.
-func (m *Monitor) RunTo(end time.Duration) {
-	if !m.started || end <= m.clock() {
-		return
-	}
-	m.limit = end
-	m.arm()
 }
 
 // Flush finalizes every window that closed at or before end without a
@@ -519,8 +493,8 @@ func (m *Monitor) Endpoints() []string {
 }
 
 // Alerts returns the alert log in canonical order: by simulated time,
-// then endpoint, SLO, severity and transition. The canonical sort is
-// what makes a lane-merged log byte-equal to the single-kernel one.
+// then endpoint, SLO, severity and transition, so the log does not
+// depend on the order endpoints were scraped in.
 func (m *Monitor) Alerts() []AlertEvent {
 	if m == nil {
 		return nil
@@ -584,26 +558,4 @@ func (m *Monitor) TimeInViolation(endpoint, slo string) time.Duration {
 		}
 	}
 	return viol
-}
-
-// Absorb folds a lane's monitor into this one: per-endpoint series copy
-// (lanes own disjoint endpoint sets, so this is a union keyed by window
-// index) plus alert-log concatenation. The receiver must be the
-// never-started monitor of the lane-owning service.
-func (m *Monitor) Absorb(lane *Monitor) {
-	if lane == nil {
-		return
-	}
-	for _, lt := range lane.targets {
-		if lt.n == 0 {
-			continue
-		}
-		t := m.byName[lt.Endpoint]
-		if t == nil {
-			continue
-		}
-		t.ring, t.n, t.snap = lt.ring, lt.n, lt.snap
-		t.slos = lt.slos
-	}
-	m.alerts = append(m.alerts, lane.alerts...)
 }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -184,36 +185,6 @@ func TestBurnRateAlertLifecycle(t *testing.T) {
 	}
 }
 
-func TestRunToCatchesUpDormantChain(t *testing.T) {
-	h := newHarness(t, Spec{Interval: time.Minute})
-	h.at(30*time.Second, 4, 10*time.Millisecond, 0)
-	h.k.At(90*time.Second, func() { h.busy = false })
-	h.mon.Start(0)
-	if err := h.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(h.mon.Series("ep")); got != 2 {
-		t.Fatalf("before RunTo: %d windows, want 2", got)
-	}
-	// Another lane ran to 10m; this lane must finalize the same windows
-	// as kernel events.
-	h.mon.RunTo(10 * time.Minute)
-	if err := h.k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(h.mon.Series("ep")); got != 10 {
-		t.Fatalf("after RunTo(10m): %d windows, want 10", got)
-	}
-	if h.k.Now() != 10*time.Minute {
-		t.Errorf("kernel at %v after RunTo, want 10m", h.k.Now())
-	}
-	for _, s := range h.mon.Series("ep")[2:] {
-		if s.Requests != 0 || s.LatencyCount != 0 {
-			t.Errorf("catch-up window %d not idle: %+v", s.Window, s)
-		}
-	}
-}
-
 func TestExportsDeterministic(t *testing.T) {
 	run := func() (string, string, string) {
 		spec := Spec{
@@ -290,6 +261,7 @@ func TestSpecValidation(t *testing.T) {
 	for _, spec := range []Spec{
 		{Interval: -time.Second},
 		{SLOs: []SLO{{Name: "x", Objective: 1.5}}},
+		{SLOs: []SLO{{Name: "x", Objective: math.NaN()}}},
 		{SLOs: []SLO{{Objective: 0.9}}},
 		{SLOs: []SLO{{Name: "lat", Kind: LatencyQuantile, Objective: 0.9}}},
 		{Rules: []BurnRule{{Short: time.Hour, Long: time.Minute, Burn: 2}}},

@@ -170,7 +170,8 @@ func (s Spec) validate() error {
 		if slo.Name == "" {
 			return fmt.Errorf("monitor: SLO %d has no name", i)
 		}
-		if slo.Objective <= 0 || slo.Objective >= 1 {
+		// Written so NaN, for which every comparison is false, fails it.
+		if !(slo.Objective > 0 && slo.Objective < 1) {
 			return fmt.Errorf("monitor: SLO %q objective %v outside (0, 1)", slo.Name, slo.Objective)
 		}
 		if slo.Kind == LatencyQuantile && slo.Target <= 0 {

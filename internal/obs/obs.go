@@ -12,8 +12,7 @@
 // emits no allocation-order identifiers and canonically orders events by
 // (timestamp, rendered bytes), so replaying the same trace at the same
 // seed and sampling rate produces byte-identical trace files whether the
-// replay ran on one shared kernel, sharded across concurrent lanes, or
-// streamed just-in-time.
+// replay submitted the whole trace up front or streamed it just-in-time.
 //
 // Near-zero overhead when off. A nil *Tracer is a valid tracer: every
 // method is nil-receiver safe and the zero SpanRef no-ops all
@@ -100,8 +99,7 @@ type Span struct {
 }
 
 // Tracer records spans against a simulated clock. It is single-threaded
-// by design — each kernel (lane) owns its own tracer, and lane tracers
-// are folded together with Merge after their kernels stop.
+// by design: it belongs to one kernel and is only touched from its events.
 type Tracer struct {
 	clock  func() time.Duration
 	every  int
@@ -159,16 +157,6 @@ func (t *Tracer) Event(track, name string, kind Kind) {
 	t.nextID++
 	now := t.clock()
 	t.done = append(t.done, Span{ID: t.nextID, Track: track, Name: name, Kind: kind, Start: now, End: now})
-}
-
-// Merge appends another tracer's finished spans, folding a lane's trace
-// into the parent service's. The exporter's canonical ordering makes the
-// final output independent of merge order.
-func (t *Tracer) Merge(o *Tracer) {
-	if t == nil || o == nil {
-		return
-	}
-	t.done = append(t.done, o.done...)
 }
 
 // Spans returns the finished spans recorded so far, in End order. Spans

@@ -38,8 +38,6 @@ func TestNilTracerSafe(t *testing.T) {
 	ref.End()
 	ref.End()
 	tr.Event("tk", "e", KindEvent)
-	tr.Merge(nil)
-	tr.Merge(New(func() time.Duration { return 0 }, 1))
 	if tr.Spans() != nil {
 		t.Error("nil tracer has spans")
 	}
@@ -215,9 +213,9 @@ func fixtureTracer(t *testing.T, reorder bool) *Tracer {
 	return tr
 }
 
-// TestWriteChromeOrderIndependent: the same spans recorded (or merged) in
-// a different order must serialize to the same bytes — the property the
-// laned replay's byte-identical-trace contract rests on.
+// TestWriteChromeOrderIndependent: the same spans recorded in a different
+// order must serialize to the same bytes — the property the replay modes'
+// byte-identical-trace contract rests on.
 func TestWriteChromeOrderIndependent(t *testing.T) {
 	var a, b bytes.Buffer
 	if err := fixtureTracer(t, false).WriteChrome(&a); err != nil {
@@ -228,25 +226,6 @@ func TestWriteChromeOrderIndependent(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("record order leaked into export:\n--- a ---\n%s\n--- b ---\n%s", a.String(), b.String())
-	}
-
-	// Merge order too: one lane's spans folded before vs after another's.
-	clock, _ := manualClock()
-	m1, m2 := New(clock, 1), New(clock, 1)
-	laneA, laneB := fixtureTracer(t, false), fixtureTracer(t, true)
-	m1.Merge(laneA)
-	m1.Merge(laneB)
-	m2.Merge(laneB)
-	m2.Merge(laneA)
-	var c, d bytes.Buffer
-	if err := m1.WriteChrome(&c); err != nil {
-		t.Fatal(err)
-	}
-	if err := m2.WriteChrome(&d); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(c.Bytes(), d.Bytes()) {
-		t.Error("merge order leaked into export")
 	}
 }
 
@@ -401,14 +380,13 @@ func TestScopeSub(t *testing.T) {
 }
 
 // TestRegistry exercises instrument identity, labels, nil-safety,
-// snapshot ordering and the lane-merge reductions.
+// and snapshot ordering.
 func TestRegistry(t *testing.T) {
 	var nilReg *Registry
 	if nilReg.Counter("x") != nil || nilReg.Gauge("x") != nil || nilReg.Histogram("x") != nil {
 		t.Error("nil registry returned an instrument")
 	}
 	nilReg.Counter("x").Inc() // nil counter must be inert
-	nilReg.Merge(NewRegistry())
 	if nilReg.Snapshot() != nil {
 		t.Error("nil registry snapshot not nil")
 	}
@@ -427,27 +405,13 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("counter = %d, want 4", c.Value())
 	}
 	r.Gauge("queue_depth", "endpoint", "a").Set(5)
+	if got := r.Gauge("queue_depth", "endpoint", "a").Value(); got != 5 {
+		t.Errorf("gauge = %g, want 5", got)
+	}
 	h := r.Histogram("latency_ns", "endpoint", "a")
 	h.Observe(time.Millisecond)
-
-	o := NewRegistry()
-	o.Counter("requests_total", "endpoint", "a").Add(2)
-	o.Gauge("queue_depth", "endpoint", "a").Set(3) // lower: max keeps 5
-	o.Gauge("queue_depth", "endpoint", "b").Set(9)
-	o.Histogram("latency_ns", "endpoint", "a").Observe(2 * time.Millisecond)
-	r.Merge(o)
-
-	if got := c.Value(); got != 6 {
-		t.Errorf("merged counter = %d, want 6", got)
-	}
-	if got := r.Gauge("queue_depth", "endpoint", "a").Value(); got != 5 {
-		t.Errorf("merged gauge = %g, want max 5", got)
-	}
-	if got := r.Gauge("queue_depth", "endpoint", "b").Value(); got != 9 {
-		t.Errorf("lane-only gauge = %g, want 9", got)
-	}
-	if got := h.Count(); got != 2 {
-		t.Errorf("merged histogram count = %d, want 2", got)
+	if h != r.Histogram("latency_ns", "endpoint", "a") || h.Count() != 1 {
+		t.Errorf("histogram identity or count wrong: count %d", h.Count())
 	}
 
 	snap := r.Snapshot()

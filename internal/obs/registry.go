@@ -52,8 +52,7 @@ func (g *Gauge) Value() float64 {
 }
 
 // Registry holds named, labelled instruments. Like the tracer it is
-// single-threaded: each lane owns a registry and lanes merge after their
-// kernels stop. Instrument lookups are map hits, so hot paths should
+// single-threaded, owned by one kernel. Instrument lookups are map hits, so hot paths should
 // resolve their instruments once at build time and hold the pointers.
 type Registry struct {
 	counters map[string]*Counter
@@ -135,26 +134,6 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 		r.hists[k] = h
 	}
 	return h
-}
-
-// Merge folds another registry into this one: counters and histograms
-// add, gauges keep the maximum (the only cross-lane reduction that makes
-// sense for instantaneous depths).
-func (r *Registry) Merge(o *Registry) {
-	if r == nil || o == nil {
-		return
-	}
-	for k, c := range o.counters {
-		r.Counter(k).Add(c.v)
-	}
-	for k, h := range o.hists {
-		r.Histogram(k).Merge(h)
-	}
-	for k, g := range o.gauges {
-		if rg := r.Gauge(k); g.v > rg.v {
-			rg.v = g.v
-		}
-	}
 }
 
 // Metric is one snapshotted instrument.

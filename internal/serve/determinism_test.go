@@ -1,27 +1,45 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
+	"fsdinference/internal/cloud/env"
 	"fsdinference/internal/workload"
 )
+
+// threeSizeService builds a service with one serial endpoint per model
+// size (64, 128 and 256 neurons), coalescing and two replicas each.
+func threeSizeService(t *testing.T) *Service {
+	t.Helper()
+	var opts []Option
+	for _, n := range []int{64, 128, 256} {
+		opts = append(opts, WithEndpoint(fmt.Sprintf("s%d", n), testModel(t, n, 3)))
+	}
+	opts = append(opts, WithCoalescing(32, 150*time.Millisecond), WithReplicas(2))
+	svc, err := NewService(env.NewDefault(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
 
 // TestReplaySameSeedIdenticalReports replays the same trace twice on
 // identically configured fresh services and diffs the full ServiceReports:
 // every field — counts, latencies, costs, per-endpoint breakdowns, the
 // rendered report text — must match bit-for-bit. This is the determinism
-// contract the sharded replay lanes and the planner's cached probe trials
-// both stand on.
+// contract the planner's cached probe trials stand on.
 func TestReplaySameSeedIdenticalReports(t *testing.T) {
 	trace := workload.Day(30*6, []int{64, 128, 256}, 6, 5)
 	opts := ReplayOptions{Seed: 23}
 
-	a, err := lanesTestService(t).Replay(trace, opts)
+	a, err := threeSizeService(t).Replay(trace, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := lanesTestService(t).Replay(trace, opts)
+	b, err := threeSizeService(t).Replay(trace, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +57,7 @@ func TestReplaySameSeedIdenticalReports(t *testing.T) {
 func TestReplayStreamSameSeedIdenticalReports(t *testing.T) {
 	opts := ReplayOptions{Seed: 23}
 	run := func() *Report {
-		rep, err := lanesTestService(t).ReplayStream(
+		rep, err := threeSizeService(t).ReplayStream(
 			workload.DiurnalDay(1200, []int{64, 128, 256}, 4, 5, 128), opts)
 		if err != nil {
 			t.Fatal(err)

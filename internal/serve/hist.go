@@ -30,3 +30,26 @@ func histStats(h *latencyHist) LatencyStats {
 		P99:   h.Quantile(99),
 	}
 }
+
+// latencies is one latency population: every sample in an exact fold,
+// which Replay reports as exact nearest-rank percentiles, or a log-linear
+// histogram (hist non-nil) in a bounded-memory streaming fold.
+type latencies struct {
+	samples []time.Duration
+	hist    *latencyHist
+}
+
+func (l *latencies) observe(d time.Duration) {
+	if l.hist != nil {
+		l.hist.Observe(d)
+		return
+	}
+	l.samples = append(l.samples, d)
+}
+
+func (l *latencies) stats() LatencyStats {
+	if l.hist != nil {
+		return histStats(l.hist)
+	}
+	return latencyStats(l.samples)
+}

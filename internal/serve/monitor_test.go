@@ -73,11 +73,9 @@ func monitorExports(t *testing.T, svc *Service) (csv, prom, alerts, met []byte) 
 
 // TestMonitorByteIdenticalAcrossReplayModes is the monitor's determinism
 // contract: the same trace at the same seed and scrape interval exports
-// byte-identical time-series and alert logs whether it replays on one
-// shared kernel, sharded across lanes, or streamed just-in-time. Lane
-// merge is a per-endpoint series union plus an alert-log concatenation,
-// so any divergence here means a scrape fired at a different simulated
-// instant in one of the modes.
+// byte-identical time-series and alert logs whether it replays as a
+// whole trace or streamed just-in-time. Any divergence here means a
+// scrape fired at a different simulated instant in one of the modes.
 func TestMonitorByteIdenticalAcrossReplayModes(t *testing.T) {
 	trace := workload.Day(40*6, []int{64, 128}, 6, 9)
 	opts := ReplayOptions{Seed: 17}
@@ -98,33 +96,21 @@ func TestMonitorByteIdenticalAcrossReplayModes(t *testing.T) {
 	sCSV, sProm, sAlerts, sMet := export("single", func(s *Service) (*Report, error) {
 		return s.Replay(trace, opts)
 	})
-	lCSV, lProm, lAlerts, lMet := export("lanes", func(s *Service) (*Report, error) {
-		return s.ReplayLanes(2, trace, opts)
-	})
 	mCSV, mProm, mAlerts, mMet := export("stream", func(s *Service) (*Report, error) {
 		return s.ReplayStream(workload.Stream(trace, 7), opts)
 	})
 
-	for _, cmp := range []struct {
-		mode        string
-		csv, prom   []byte
-		alerts, met []byte
-	}{
-		{"lanes", lCSV, lProm, lAlerts, lMet},
-		{"stream", mCSV, mProm, mAlerts, mMet},
-	} {
-		if !bytes.Equal(sCSV, cmp.csv) {
-			t.Errorf("%s time-series CSV diverges from single-kernel:\n%s", cmp.mode, firstDiff(sCSV, cmp.csv))
-		}
-		if !bytes.Equal(sProm, cmp.prom) {
-			t.Errorf("%s prom exposition diverges:\n%s", cmp.mode, firstDiff(sProm, cmp.prom))
-		}
-		if !bytes.Equal(sAlerts, cmp.alerts) {
-			t.Errorf("%s alert log diverges:\n--- single ---\n%s--- %s ---\n%s", cmp.mode, sAlerts, cmp.mode, cmp.alerts)
-		}
-		if !bytes.Equal(sMet, cmp.met) {
-			t.Errorf("%s metrics text diverges:\n%s", cmp.mode, firstDiff(sMet, cmp.met))
-		}
+	if !bytes.Equal(sCSV, mCSV) {
+		t.Errorf("stream time-series CSV diverges from single-kernel:\n%s", firstDiff(sCSV, mCSV))
+	}
+	if !bytes.Equal(sProm, mProm) {
+		t.Errorf("stream prom exposition diverges:\n%s", firstDiff(sProm, mProm))
+	}
+	if !bytes.Equal(sAlerts, mAlerts) {
+		t.Errorf("stream alert log diverges:\n--- single ---\n%s--- stream ---\n%s", sAlerts, mAlerts)
+	}
+	if !bytes.Equal(sMet, mMet) {
+		t.Errorf("stream metrics text diverges:\n%s", firstDiff(sMet, mMet))
 	}
 
 	// Sanity on the single-kernel series itself: both endpoints scraped,
@@ -147,13 +133,11 @@ func TestMonitorByteIdenticalAcrossReplayModes(t *testing.T) {
 	}
 }
 
-// TestMonitorChaosSingleLaneFallback extends the chaos-trace metrics
-// equality to monitor time-series: a chaos trace forces ReplayLanes into
-// its single-lane fallback, which must still export the same series,
-// alerts and metrics text as Replay and ReplayStream — and the killed
-// shard's failover must surface as a KV-failover window with an
-// unhealthy health state.
-func TestMonitorChaosSingleLaneFallback(t *testing.T) {
+// TestMonitorChaosByteIdenticalAcrossReplayModes extends the monitor's
+// byte-identity to a chaos trace: Replay and ReplayStream must export the
+// same series, alerts and metrics text — and the killed shard's failover
+// must surface as a KV-failover window with an unhealthy health state.
+func TestMonitorChaosByteIdenticalAcrossReplayModes(t *testing.T) {
 	trace := workload.Day(40*6, []int{64, 128}, 6, 9)
 	opts := ReplayOptions{
 		Seed:  17,
@@ -170,30 +154,17 @@ func TestMonitorChaosSingleLaneFallback(t *testing.T) {
 	}
 	sCSV, _, sAlerts, sMet := monitorExports(t, single)
 
-	laned := monitoredTestService(t, monitorTestSpec())
-	if _, err := laned.ReplayLanes(2, trace, opts); err != nil {
-		t.Fatal(err)
-	}
-	lCSV, _, lAlerts, lMet := monitorExports(t, laned)
-
 	streamed := monitoredTestService(t, monitorTestSpec())
 	if _, err := streamed.ReplayStream(workload.Stream(trace, 7), opts); err != nil {
 		t.Fatal(err)
 	}
 	mCSV, _, mAlerts, mMet := monitorExports(t, streamed)
 
-	if !bytes.Equal(sCSV, lCSV) {
-		t.Errorf("chaos fallback CSV diverges:\n%s", firstDiff(sCSV, lCSV))
-	}
 	if !bytes.Equal(sCSV, mCSV) {
 		t.Errorf("streamed chaos CSV diverges:\n%s", firstDiff(sCSV, mCSV))
 	}
-	if !bytes.Equal(sAlerts, lAlerts) || !bytes.Equal(sAlerts, mAlerts) {
-		t.Errorf("chaos alert logs diverge:\n--- single ---\n%s--- lanes ---\n%s--- stream ---\n%s",
-			sAlerts, lAlerts, mAlerts)
-	}
-	if !bytes.Equal(sMet, lMet) {
-		t.Errorf("chaos fallback metrics text diverges:\n%s", firstDiff(sMet, lMet))
+	if !bytes.Equal(sAlerts, mAlerts) {
+		t.Errorf("chaos alert logs diverge:\n--- single ---\n%s--- stream ---\n%s", sAlerts, mAlerts)
 	}
 	if !bytes.Equal(sMet, mMet) {
 		t.Errorf("streamed chaos metrics text diverges:\n%s", firstDiff(sMet, mMet))

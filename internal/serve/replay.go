@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"fsdinference/internal/cloud/kvcluster"
@@ -84,42 +83,37 @@ func (opts ReplayOptions) withDefaults() ReplayOptions {
 	return opts
 }
 
-// routedQuery pairs one trace query with its resolved endpoint and its
-// index in the original trace. The index — not the position in whatever
-// sub-slice a lane replays — seeds the query's input generation and is
-// echoed to the Submit callback, so a lane's share of a trace replays
-// exactly as it would inside the full single-lane replay.
+// routedQuery pairs one trace query with its resolved endpoint.
 type routedQuery struct {
-	idx  int
 	q    workload.Query
 	name string
 }
 
-// routeTrace resolves every query's endpoint up front (default: route by
-// model size) against this service's registry.
-func (s *Service) routeTrace(trace []workload.Query, opts ReplayOptions) ([]routedQuery, error) {
-	route := opts.Route
-	if route == nil {
-		route = func(q workload.Query) (string, bool) {
-			eps := s.byNeuronsAll[q.Neurons]
-			if len(eps) == 0 {
-				return "", false
-			}
-			return eps[0].name, true
-		}
+// router returns opts.Route, or the default route by model size: the
+// first endpoint registered for the query's neuron count.
+func (s *Service) router(opts ReplayOptions) func(workload.Query) (string, bool) {
+	if opts.Route != nil {
+		return opts.Route
 	}
-	items := make([]routedQuery, len(trace))
-	for i, q := range trace {
-		name, ok := route(q)
-		if !ok {
-			return nil, fmt.Errorf("serve: no endpoint for query %d (N=%d)", i, q.Neurons)
+	return func(q workload.Query) (string, bool) {
+		eps := s.byNeuronsAll[q.Neurons]
+		if len(eps) == 0 {
+			return "", false
 		}
-		if s.byName[name] == nil {
-			return nil, fmt.Errorf("serve: route returned unknown endpoint %q", name)
-		}
-		items[i] = routedQuery{idx: i, q: q, name: name}
+		return eps[0].name, true
 	}
-	return items, nil
+}
+
+// routeQuery resolves query i's endpoint name and checks it is registered.
+func (s *Service) routeQuery(route func(workload.Query) (string, bool), i int, q workload.Query) (string, error) {
+	name, ok := route(q)
+	if !ok {
+		return "", fmt.Errorf("serve: no endpoint for query %d (N=%d)", i, q.Neurons)
+	}
+	if s.byName[name] == nil {
+		return "", fmt.Errorf("serve: route returned unknown endpoint %q", name)
+	}
+	return name, nil
 }
 
 // Replay drives a workload query trace through the service inside one
@@ -128,48 +122,18 @@ func (s *Service) routeTrace(trace []workload.Query, opts ReplayOptions) ([]rout
 // cold starts, and real metered daily cost. Queries are admitted at their
 // trace arrival times (relative to the current virtual time), inputs are
 // generated deterministically per query, and the report aggregates the
-// resolved handles plus the endpoints' run ledgers.
+// resolved handles plus the endpoints' run ledgers. Latency percentiles
+// are exact, recomputed from every retained sample.
+//
+// The whole trace is routed before anything is submitted, so a rejected
+// trace leaves nothing pending. Routing runs after the in-flight drain
+// and window snapshot, so routing-time side effects land inside the
+// measured window.
 func (s *Service) Replay(trace []workload.Query, opts ReplayOptions) (*Report, error) {
 	if len(trace) == 0 {
 		return nil, fmt.Errorf("serve: empty trace")
 	}
 	opts = opts.withDefaults()
-	rep, _, err := s.replayRouted(func() ([]routedQuery, error) {
-		return s.routeTrace(trace, opts)
-	}, opts)
-	return rep, err
-}
-
-// replayRouted replays routed queries and, alongside the report, returns
-// the raw per-request latencies so a lane merge can recompute the exact
-// cross-lane distribution instead of approximating from summaries. The
-// route callback runs after the in-flight drain and window snapshot, so
-// routing-time side effects (tests arm chaos there) land inside the
-// measured window, exactly as they always have.
-func (s *Service) replayRouted(route func() ([]routedQuery, error), opts ReplayOptions) (*Report, []time.Duration, error) {
-	run, err := s.replayStart(route, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.replayFinish(run, opts, 0)
-}
-
-// replayRun is an in-flight replay between its drive phase (replayStart:
-// everything submitted and drained) and its reporting phase
-// (replayFinish). Replay lanes hold this between phases so every lane's
-// metering window can be closed at the same global end time.
-type replayRun struct {
-	win     *replayWindow
-	items   []routedQuery
-	handles []*Handle
-	eps     []*Endpoint
-	inputs  []*sparse.Dense
-	chaos   *chaosCounters
-}
-
-// replayStart drains in-flight work, opens the metering window, submits
-// the routed trace and drives the kernel until everything resolves.
-func (s *Service) replayStart(route func() ([]routedQuery, error), opts ReplayOptions) (*replayRun, error) {
 	if err := s.checkChaos(opts.Chaos); err != nil {
 		return nil, err
 	}
@@ -181,109 +145,53 @@ func (s *Service) replayStart(route func() ([]routedQuery, error), opts ReplayOp
 
 	base := s.Now()
 	win := s.openWindow(base)
-	items, err := route()
-	if err != nil {
-		return nil, err
+	route := s.router(opts)
+	items := make([]routedQuery, len(trace))
+	for i, q := range trace {
+		name, err := s.routeQuery(route, i, q)
+		if err != nil {
+			return nil, err
+		}
+		items[i] = routedQuery{q: q, name: name}
 	}
 
-	run := &replayRun{
-		win:     win,
-		items:   items,
-		handles: make([]*Handle, len(items)),
-		eps:     make([]*Endpoint, len(items)),
-		inputs:  make([]*sparse.Dense, len(items)),
-	}
+	handles := make([]*Handle, len(items))
+	eps := make([]*Endpoint, len(items))
+	inputs := make([]*sparse.Dense, len(items))
 	for i, it := range items {
-		run.eps[i] = s.byName[it.name]
-		run.inputs[i] = model.GenerateInputs(it.q.Neurons, it.q.Samples, opts.Density, opts.Seed+int64(it.idx))
+		eps[i] = s.byName[it.name]
+		inputs[i] = model.GenerateInputs(it.q.Neurons, it.q.Samples, opts.Density, opts.Seed+int64(i))
 		var so SubmitOptions
 		if opts.Submit != nil {
-			so = opts.Submit(it.idx, it.q)
+			so = opts.Submit(i, it.q)
 		}
 		// The query's trace index — not the service-local submit
-		// counter — is the sampling key, so lanes replaying disjoint
-		// sub-traces sample the same requests as a shared-kernel replay.
-		run.handles[i] = s.submit(it.name, run.inputs[i], base+it.q.At, so, nil, it.idx)
+		// counter — is the sampling key, so every replay mode samples
+		// the same requests.
+		handles[i] = s.submit(it.name, inputs[i], base+it.q.At, so, nil, i)
 	}
 
-	run.chaos = s.scheduleChaos(base, opts.Chaos)
+	chaos := s.scheduleChaos(base, opts.Chaos)
 
 	if err := s.Run(); err != nil {
 		return nil, err
 	}
-	return run, nil
-}
+	s.closeWindow(win)
 
-// replayFinish closes the metering window and aggregates the report. A
-// positive endAt first advances the kernel to that virtual time (with an
-// empty event), so a lane that finished early accrues provisioned
-// capacity to the same global end a shared-kernel run would have — idle
-// tails included.
-func (s *Service) replayFinish(run *replayRun, opts ReplayOptions, endAt time.Duration) (*Report, []time.Duration, error) {
-	if endAt > s.Now() {
-		if s.mon != nil {
-			// Arm catch-up scrapes as kernel events up to the global end,
-			// so a lane that drained early finalizes the same windows at
-			// the same simulated instants as the single-kernel replay.
-			s.mon.RunTo(endAt)
-		}
-		s.env.K.At(endAt-s.Now(), func() {})
-		if err := s.Run(); err != nil {
-			return nil, nil, err
-		}
-	}
-	s.closeWindow(run.win)
-	win, items, handles, eps, inputs := run.win, run.items, run.handles, run.eps, run.inputs
-
-	rep := &Report{}
-	var all []time.Duration
-	perEp := make(map[*Endpoint][]time.Duration, len(s.eps))
-	perPrio := make(map[*Endpoint]map[int][]time.Duration, len(s.eps))
-	epQueries := make(map[*Endpoint]int, len(s.eps))
-	epFailed := make(map[*Endpoint]int, len(s.eps))
-	epSamples := make(map[*Endpoint]int, len(s.eps))
+	f := newReplayFold(base, true)
 	for i, h := range handles {
-		ep := eps[i]
-		epQueries[ep]++
-		rep.Queries++
 		if !h.done {
-			return nil, nil, fmt.Errorf("serve: query %d did not resolve", items[i].idx)
+			return nil, fmt.Errorf("serve: query %d did not resolve", i)
 		}
-		if h.err != nil {
-			rep.Failed++
-			epFailed[ep]++
-			continue
-		}
-		resp := h.resp
-		rep.Samples += resp.Output.Cols
-		epSamples[ep] += resp.Output.Cols
-		all = append(all, resp.Latency)
-		perEp[ep] = append(perEp[ep], resp.Latency)
-		if perPrio[ep] == nil {
-			perPrio[ep] = make(map[int][]time.Duration)
-		}
-		perPrio[ep][h.priority] = append(perPrio[ep][h.priority], resp.Latency)
-		if h.finished-win.base > rep.Horizon {
-			rep.Horizon = h.finished - win.base
-		}
-		if opts.Verify {
-			want := model.Reference(ep.m, inputs[i])
-			if !model.OutputsClose(resp.Output, want, 1e-2) {
-				return nil, nil, fmt.Errorf("serve: query %d output diverges from reference", items[i].idx)
+		f.add(eps[i], h)
+		if opts.Verify && h.err == nil {
+			want := model.Reference(eps[i].m, inputs[i])
+			if !model.OutputsClose(h.resp.Output, want, 1e-2) {
+				return nil, fmt.Errorf("serve: query %d output diverges from reference", i)
 			}
 		}
 	}
-	rep.Latency = latencyStats(all)
-	for _, ep := range s.eps {
-		rep.Endpoints = append(rep.Endpoints, s.endpointReport(ep, win,
-			epQueries[ep], epFailed[ep], epSamples[ep],
-			latencyStats(perEp[ep]), prioLatencies(perPrio[ep])))
-	}
-	s.meterReport(rep, win)
-	rep.ChaosKills = run.chaos.kills
-	rep.ChaosPartitions = run.chaos.partitions
-	rep.ChaosSkipped = run.chaos.skipped
-	return rep, all, nil
+	return s.replayReport(f, win, chaos), nil
 }
 
 // chaosCounters tallies trace-embedded fault injections.
@@ -358,23 +266,4 @@ func (s *Service) chaosTarget(name string) *kvcluster.Cluster {
 		}
 	}
 	return nil
-}
-
-// prioLatencies collapses a per-priority latency map into the report's
-// ordered breakdown (highest priority first); nil unless more than one
-// class was submitted.
-func prioLatencies(groups map[int][]time.Duration) []PriorityLatency {
-	if len(groups) <= 1 {
-		return nil
-	}
-	prios := make([]int, 0, len(groups))
-	for p := range groups {
-		prios = append(prios, p)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(prios)))
-	out := make([]PriorityLatency, 0, len(prios))
-	for _, p := range prios {
-		out = append(out, PriorityLatency{Priority: p, Latency: latencyStats(groups[p])})
-	}
-	return out
 }

@@ -131,10 +131,8 @@ func WithRunConcurrency(n int) Option {
 // (sampleEvery <= 1 traces every request). Sampling is keyed on the
 // request's position in the replayed trace, so the same workload at the
 // same rate selects the same requests — and exports byte-identical
-// Chrome traces — whether it replays on one shared kernel, sharded
-// across lanes, or streamed. The option carries configuration rather
-// than a tracer instance: each replay lane builds a tracer bound to its
-// own kernel clock and the lanes merge afterwards.
+// Chrome traces — whether it replays as a whole trace (Replay) or
+// streamed (ReplayStream).
 func WithTracing(sampleEvery int) Option {
 	return func(c *serviceConfig) { c.tracing = true; c.traceEvery = sampleEvery }
 }
@@ -146,9 +144,7 @@ func WithTracing(sampleEvery int) Option {
 // kernel events. Unless spec.Passive is set, a firing page-severity
 // burn-rate alert also closes the control loop — an SLO endpoint
 // re-plans immediately instead of waiting for the break-even drift
-// trigger, and a fixed endpoint gets an emergency replica. Like
-// WithTracing, the option carries configuration: each replay lane builds
-// a monitor bound to its own kernel and the lanes merge afterwards.
+// trigger, and a fixed endpoint gets an emergency replica.
 func WithMonitor(spec monitor.Spec) Option {
 	return func(c *serviceConfig) { c.monitoring = true; c.monSpec = spec }
 }
@@ -244,10 +240,7 @@ func WithDeployOverride(mutate func(*core.Config)) EndpointOption {
 // requests to different endpoints — and queued requests to the same
 // endpoint — progress concurrently in virtual time.
 type Service struct {
-	env *env.Env
-	// opts retains the applied options so replay lanes can rebuild
-	// filtered clones of the service on fresh environments (lanes.go).
-	opts   []Option
+	env    *env.Env
 	eps    []*Endpoint
 	byName map[string]*Endpoint
 	// byNeuronsAll maps model size to its endpoints in registration
@@ -267,7 +260,7 @@ type Service struct {
 	mon     *monitor.Monitor
 	// submitSeq numbers interactive Submits for sampling. Replay paths
 	// bypass it and sample on the query's trace index instead, which is
-	// what makes lane-vs-single traces identical.
+	// what makes Replay and ReplayStream traces identical.
 	submitSeq int
 }
 
@@ -396,14 +389,6 @@ func (s endpointStats) sub(prev endpointStats) endpointStats {
 // NewService validates the options, builds partition plans and deploys
 // every endpoint's replica pool onto the shared environment.
 func NewService(e *env.Env, opts ...Option) (*Service, error) {
-	return newService(e, nil, opts...)
-}
-
-// newService is NewService with an optional endpoint filter: when keep is
-// non-nil, endpoints it rejects are dropped before deployment. Replay lanes
-// use this to rebuild a subset of the service on a fresh environment
-// without paying for (or metering) the endpoints the lane does not serve.
-func newService(e *env.Env, keep func(name string) bool, opts ...Option) (*Service, error) {
 	cfg := &serviceConfig{
 		policy:   coalescePolicy{maxBatch: 512},
 		replicas: 1,
@@ -414,15 +399,6 @@ func newService(e *env.Env, keep func(name string) bool, opts ...Option) (*Servi
 	}
 	if cfg.err != nil {
 		return nil, cfg.err
-	}
-	if keep != nil {
-		kept := cfg.eps[:0]
-		for _, ec := range cfg.eps {
-			if keep(ec.name) {
-				kept = append(kept, ec)
-			}
-		}
-		cfg.eps = kept
 	}
 	if len(cfg.eps) == 0 {
 		return nil, fmt.Errorf("serve: a service needs at least one endpoint")
@@ -435,25 +411,22 @@ func newService(e *env.Env, keep func(name string) bool, opts ...Option) (*Servi
 	}
 	s := &Service{
 		env:          e,
-		opts:         opts,
 		byName:       make(map[string]*Endpoint),
 		byNeuronsAll: make(map[int][]*Endpoint),
 		pending:      make(map[*Handle]struct{}),
 	}
 	if cfg.tracing {
 		// Built before the endpoints so initial replica deployments are
-		// traced too. The tracer reads this environment's kernel clock,
-		// so each lane clone gets one bound to its own kernel.
+		// traced too. The tracer reads this environment's kernel clock.
 		s.trace = obs.New(e.K.Clock(), cfg.traceEvery)
 	}
 	if cfg.tracing || cfg.monitoring {
 		s.metrics = obs.NewRegistry()
 	}
 	if cfg.monitoring {
-		// The monitor scrapes on this environment's kernel, so each lane
-		// clone gets one bound to its own kernel; the chain stays alive
-		// only while requests are in flight, which is what lets the
-		// kernel drain.
+		// The monitor scrapes on this environment's kernel; the chain
+		// stays alive only while requests are in flight, which is what
+		// lets the kernel drain.
 		mon, err := monitor.New(cfg.monSpec, e.K.Clock(),
 			func(d time.Duration, fn func()) { e.K.At(d, fn) },
 			func() bool { return len(s.pending) > 0 })
@@ -626,8 +599,8 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 // deployReplica deploys one replica from the endpoint's current template.
 // With tracing on, the deployment's trace scope is stamped with a
 // replay-mode-independent track — the endpoint name plus a per-endpoint
-// replica ordinal — so engine-side spans land on the same timeline
-// whether the endpoint runs on the shared kernel or inside a lane.
+// replica ordinal — so engine-side spans land on the same timeline in
+// every replay mode.
 func (ep *Endpoint) deployReplica() (*replica, error) {
 	dcfg := ep.dcfg
 	var track string
@@ -817,8 +790,7 @@ func (s *Service) Endpoints() []string {
 func (s *Service) Now() time.Duration { return s.env.K.Now() }
 
 // Tracer returns the service's span tracer, or nil when tracing is off
-// (WithTracing not applied). After a laned replay it holds the merged
-// spans of every lane.
+// (WithTracing not applied).
 func (s *Service) Tracer() *obs.Tracer { return s.trace }
 
 // Metrics returns the service's metrics registry, or nil when both
@@ -829,8 +801,7 @@ func (s *Service) Metrics() *obs.Registry { return s.metrics }
 // Monitor returns the service's SLO monitor, or nil when monitoring is
 // off (WithMonitor not applied). The nil monitor is safe to read —
 // Series/Alerts/Endpoints return empty, the exporters write nothing —
-// so callers may chain without a guard. After a laned replay it holds
-// the merged time-series and alert log of every lane.
+// so callers may chain without a guard.
 func (s *Service) Monitor() *monitor.Monitor { return s.mon }
 
 // SubmitOptions carries per-request scheduling metadata.

@@ -288,44 +288,135 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestRejectedReplaySubmitsNothing: a replay whose chaos schedule is
-// rejected must leave nothing pending, so the next replay on the same
-// service reports exactly what it would on a fresh one.
+// TestRejectedReplaySubmitsNothing: a replay rejected before it runs —
+// its chaos schedule names an unknown endpoint, its route rejects a
+// query, or (streaming) an arrival precedes the one before it — must
+// leave nothing pending, so the next replay on the same service reports
+// exactly what it would on a fresh one.
 func TestRejectedReplaySubmitsNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replay is a long simulation")
 	}
 	trace := workload.Day(40*8, []int{128, 256}, 8, 7)
-	bad := ReplayOptions{Seed: 11, Chaos: []ChaosEvent{{Kind: KillNode, Endpoint: "nope"}}}
+	// The stream's first batch is trace[0:8]; its 6th arrival goes back
+	// in time.
+	disordered := append([]workload.Query(nil), trace...)
+	disordered[5].At = disordered[4].At - time.Nanosecond
+	rejects := []struct {
+		name       string
+		trace      []workload.Query
+		opts       func() ReplayOptions
+		streamOnly bool
+	}{
+		{"chaos", trace, func() ReplayOptions {
+			return ReplayOptions{Seed: 11, Chaos: []ChaosEvent{{Kind: KillNode, Endpoint: "nope"}}}
+		}, false},
+		{"route", trace, func() ReplayOptions {
+			routed := 0
+			return ReplayOptions{Seed: 11, Route: func(q workload.Query) (string, bool) {
+				routed++
+				if routed == 3 {
+					return "", false
+				}
+				if q.Neurons == 128 {
+					return "small", true
+				}
+				return "large", true
+			}}
+		}, false},
+		{"order", disordered, func() ReplayOptions { return ReplayOptions{Seed: 11} }, true},
+	}
 	for _, tc := range []struct {
 		name   string
-		replay func(*Service, ReplayOptions) (*Report, error)
+		stream bool
+		replay func(*Service, []workload.Query, ReplayOptions) (*Report, error)
 	}{
-		{"Replay", func(s *Service, o ReplayOptions) (*Report, error) { return s.Replay(trace, o) }},
-		{"ReplayStream", func(s *Service, o ReplayOptions) (*Report, error) {
-			return s.ReplayStream(workload.Stream(trace, 8), o)
+		{"Replay", false, func(s *Service, tr []workload.Query, o ReplayOptions) (*Report, error) {
+			return s.Replay(tr, o)
+		}},
+		{"ReplayStream", true, func(s *Service, tr []workload.Query, o ReplayOptions) (*Report, error) {
+			return s.ReplayStream(workload.Stream(tr, 8), o)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			svc := replayService(t)
-			if _, err := tc.replay(svc, bad); err == nil {
-				t.Fatal("chaos event against unknown endpoint did not fail")
-			}
-			if n := len(svc.pending); n != 0 {
-				t.Fatalf("rejected replay left %d queries pending", n)
-			}
-			got, err := tc.replay(svc, ReplayOptions{Seed: 11})
+			want, err := tc.replay(replayService(t), trace, ReplayOptions{Seed: 11})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := tc.replay(replayService(t), ReplayOptions{Seed: 11})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("replay after a rejected one differs from a fresh service's:\n--- after ---\n%s\n--- fresh ---\n%s", got, want)
+			for _, bad := range rejects {
+				if bad.streamOnly && !tc.stream {
+					continue
+				}
+				t.Run(bad.name, func(t *testing.T) {
+					svc := replayService(t)
+					if _, err := tc.replay(svc, bad.trace, bad.opts()); err == nil {
+						t.Fatal("replay was not rejected")
+					}
+					if n := len(svc.pending); n != 0 {
+						t.Fatalf("rejected replay left %d queries pending", n)
+					}
+					got, err := tc.replay(svc, trace, ReplayOptions{Seed: 11})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("replay after a rejected one differs from a fresh service's:\n--- after ---\n%s\n--- fresh ---\n%s", got, want)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestPriorityBreakdownIdenticalAcrossReplayModes: Replay and
+// ReplayStream fold through the same accumulator, so they report the same
+// per-priority class counts, and those counts sum to each endpoint's
+// served queries — including the class-0 requests served before the
+// first non-zero-priority one.
+func TestPriorityBreakdownIdenticalAcrossReplayModes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replay is a long simulation")
+	}
+	trace := workload.Day(40*8, []int{128, 256}, 8, 7)
+	opts := ReplayOptions{Seed: 11, Submit: func(i int, _ workload.Query) SubmitOptions {
+		if i >= 20 && i%2 == 0 {
+			return SubmitOptions{Priority: 1}
+		}
+		return SubmitOptions{}
+	}}
+	batch, err := replayService(t).Replay(trace, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := replayService(t).ReplayStream(workload.Stream(trace, 8), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := func(er EndpointReport) map[int]int {
+		out := make(map[int]int)
+		for _, pl := range er.PerPriority {
+			out[pl.Priority] = pl.Latency.Count
+		}
+		return out
+	}
+	for i, be := range batch.Endpoints {
+		se := stream.Endpoints[i]
+		bc, sc := classes(be), classes(se)
+		if len(bc) < 2 {
+			t.Fatalf("endpoint %s: breakdown %v, want two classes", be.Name, bc)
+		}
+		if !reflect.DeepEqual(bc, sc) {
+			t.Errorf("endpoint %s: classes diverge: Replay %v, ReplayStream %v", be.Name, bc, sc)
+		}
+		for _, er := range []EndpointReport{be, se} {
+			sum := 0
+			for _, n := range classes(er) {
+				sum += n
+			}
+			if served := er.Queries - er.Failed; sum != served {
+				t.Errorf("endpoint %s: classes %v sum to %d, want the %d served queries", er.Name, classes(er), sum, served)
+			}
+		}
 	}
 }
 

@@ -15,12 +15,12 @@ func TestReplayStreamMatchesBatchReplay(t *testing.T) {
 	trace := workload.Day(40*6, []int{64, 128, 256}, 6, 9)
 	opts := ReplayOptions{Seed: 17}
 
-	batch, err := lanesTestService(t).Replay(trace, opts)
+	batch, err := threeSizeService(t).Replay(trace, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A small feed batch forces many JIT pulls mid-run.
-	stream, err := lanesTestService(t).ReplayStream(workload.Stream(trace, 7), opts)
+	stream, err := threeSizeService(t).ReplayStream(workload.Stream(trace, 7), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestReplayStreamMatchesBatchReplay(t *testing.T) {
 
 // TestReplayStreamRejectsVerify pins the documented limitation.
 func TestReplayStreamRejectsVerify(t *testing.T) {
-	svc := lanesTestService(t)
+	svc := threeSizeService(t)
 	_, err := svc.ReplayStream(workload.Stream(workload.Day(6, []int{64}, 6, 1), 0), ReplayOptions{Verify: true})
 	if err == nil {
 		t.Fatal("streaming replay accepted Verify")
@@ -83,7 +83,7 @@ func TestReplayStreamRejectsVerify(t *testing.T) {
 // the number of unresolved requests never exceeds the feed batch plus the
 // requests genuinely in flight at one virtual instant.
 func TestReplayStreamBoundedAhead(t *testing.T) {
-	svc := lanesTestService(t)
+	svc := threeSizeService(t)
 	trace := workload.Day(60*6, []int{64, 128, 256}, 6, 4)
 	peak := 0
 	_, err := svc.ReplayStream(&peakStream{inner: workload.Stream(trace, 5), svc: svc, peak: &peak}, ReplayOptions{Seed: 3})

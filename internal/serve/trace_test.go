@@ -39,8 +39,8 @@ func tracedTestService(t *testing.T, sampleEvery int) *Service {
 
 // TestTraceByteIdenticalAcrossReplayModes is the determinism contract of
 // the observability layer: the same trace at the same seed and sampling
-// rate exports byte-identical Chrome JSON whether it replays on one
-// shared kernel, sharded across lanes, or streamed just-in-time.
+// rate exports byte-identical Chrome JSON whether it replays as a whole
+// trace or streamed just-in-time.
 func TestTraceByteIdenticalAcrossReplayModes(t *testing.T) {
 	trace := workload.Day(40*6, []int{64, 128}, 6, 9)
 	opts := ReplayOptions{Seed: 17}
@@ -68,23 +68,13 @@ func TestTraceByteIdenticalAcrossReplayModes(t *testing.T) {
 	single, singleMet := export("single", func(s *Service) (*Report, error) {
 		return s.Replay(trace, opts)
 	})
-	laned, lanedMet := export("lanes", func(s *Service) (*Report, error) {
-		return s.ReplayLanes(2, trace, opts)
-	})
 	streamed, streamedMet := export("stream", func(s *Service) (*Report, error) {
 		return s.ReplayStream(workload.Stream(trace, 7), opts)
 	})
 
-	if !bytes.Equal(single, laned) {
-		t.Errorf("laned trace diverges from single-kernel (%d vs %d bytes):\n%s",
-			len(laned), len(single), firstDiff(single, laned))
-	}
 	if !bytes.Equal(single, streamed) {
 		t.Errorf("streamed trace diverges from single-kernel (%d vs %d bytes):\n%s",
 			len(streamed), len(single), firstDiff(single, streamed))
-	}
-	if !bytes.Equal(singleMet, lanedMet) {
-		t.Errorf("laned metrics diverge:\n--- single ---\n%s--- lanes ---\n%s", singleMet, lanedMet)
 	}
 	if !bytes.Equal(singleMet, streamedMet) {
 		t.Errorf("streamed metrics diverge:\n--- single ---\n%s--- stream ---\n%s", singleMet, streamedMet)

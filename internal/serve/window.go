@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sort"
 	"time"
 
 	"fsdinference/internal/cloud/usage"
@@ -69,10 +70,112 @@ func (s *Service) closeWindow(win *replayWindow) {
 	}
 }
 
+// replayFold accumulates a replay's request-level aggregates as handles
+// resolve: query, failure and sample counts, the horizon, and latency
+// populations overall, per endpoint and per priority class. Replay folds
+// its retained handles after the kernel drains; ReplayStream folds each
+// handle from its resolve callback.
+type replayFold struct {
+	base  time.Duration
+	exact bool
+	rep   *Report
+	all   latencies
+	perEp map[*Endpoint]*epFold
+}
+
+// epFold is one endpoint's share of a replayFold.
+type epFold struct {
+	queries, failed, samples int
+	lat                      latencies
+	perPrio                  map[int]*latencies
+}
+
+// newReplayFold starts a fold for a replay window opened at base; exact
+// keeps every latency sample, otherwise latencies fold into histograms.
+func newReplayFold(base time.Duration, exact bool) *replayFold {
+	f := &replayFold{base: base, exact: exact, rep: &Report{}, perEp: make(map[*Endpoint]*epFold)}
+	f.all = f.newLatencies()
+	return f
+}
+
+func (f *replayFold) newLatencies() latencies {
+	if f.exact {
+		return latencies{}
+	}
+	return latencies{hist: &latencyHist{}}
+}
+
+// add folds one resolved request submitted to ep.
+func (f *replayFold) add(ep *Endpoint, h *Handle) {
+	e := f.perEp[ep]
+	if e == nil {
+		e = &epFold{lat: f.newLatencies(), perPrio: make(map[int]*latencies)}
+		f.perEp[ep] = e
+	}
+	f.rep.Queries++
+	e.queries++
+	if h.err != nil {
+		f.rep.Failed++
+		e.failed++
+		return
+	}
+	d, cols := h.resp.Latency, h.resp.Output.Cols
+	f.rep.Samples += cols
+	e.samples += cols
+	f.all.observe(d)
+	e.lat.observe(d)
+	p := e.perPrio[h.priority]
+	if p == nil {
+		l := f.newLatencies()
+		p = &l
+		e.perPrio[h.priority] = p
+	}
+	p.observe(d)
+	if h.finished-f.base > f.rep.Horizon {
+		f.rep.Horizon = h.finished - f.base
+	}
+}
+
+// prioStats renders the per-priority breakdown, highest priority first;
+// nil unless more than one class was served.
+func (e *epFold) prioStats() []PriorityLatency {
+	if len(e.perPrio) <= 1 {
+		return nil
+	}
+	prios := make([]int, 0, len(e.perPrio))
+	for p := range e.perPrio {
+		prios = append(prios, p)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(prios)))
+	out := make([]PriorityLatency, 0, len(prios))
+	for _, p := range prios {
+		out = append(out, PriorityLatency{Priority: p, Latency: e.perPrio[p].stats()})
+	}
+	return out
+}
+
+// replayReport assembles a closed window's report from the fold, the
+// endpoints' stat deltas, the metering delta and the chaos tallies.
+func (s *Service) replayReport(f *replayFold, win *replayWindow, chaos *chaosCounters) *Report {
+	rep := f.rep
+	rep.Latency = f.all.stats()
+	for _, ep := range s.eps {
+		acc := f.perEp[ep]
+		if acc == nil {
+			acc = &epFold{}
+		}
+		rep.Endpoints = append(rep.Endpoints, s.endpointReport(ep, win, acc))
+	}
+	s.meterReport(rep, win)
+	rep.ChaosKills = chaos.kills
+	rep.ChaosPartitions = chaos.partitions
+	rep.ChaosSkipped = chaos.skipped
+	return rep
+}
+
 // endpointReport assembles one endpoint's report over the window from its
-// stat delta and the request-level aggregates the caller accumulated.
-func (s *Service) endpointReport(ep *Endpoint, win *replayWindow,
-	queries, failed, samples int, lat LatencyStats, perPrio []PriorityLatency) EndpointReport {
+// stat delta and the request-level aggregates the fold accumulated.
+func (s *Service) endpointReport(ep *Endpoint, win *replayWindow, acc *epFold) EndpointReport {
 	var snap endpointStats
 	for i, e := range s.eps {
 		if e == ep {
@@ -110,17 +213,17 @@ func (s *Service) endpointReport(ep *Endpoint, win *replayWindow,
 		Replans:           replans,
 		Observed:          ep.sched.observedProfile(batch),
 		MaxConcurrentRuns: st.MaxConcurrent,
-		Queries:           queries,
-		Failed:            failed,
-		Samples:           samples,
+		Queries:           acc.queries,
+		Failed:            acc.failed,
+		Samples:           acc.samples,
 		Runs:              st.Runs,
 		FailedRuns:        st.FailedRuns,
 		MaxRunSamples:     st.MaxSamples,
 		ColdStarts:        st.ColdStarts,
 		WarmStarts:        st.WarmStarts,
-		Latency:           lat,
+		Latency:           acc.lat.stats(),
 		Cost:              st.Cost,
-		PerPriority:       perPrio,
+		PerPriority:       acc.prioStats(),
 	}
 	if st.Runs > 0 {
 		er.AvgRunSamples = float64(st.RunSamples) / float64(st.Runs)

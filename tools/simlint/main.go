@@ -1,8 +1,8 @@
 // Command simlint mechanizes the simulator's determinism discipline.
 //
-// Every headline guarantee in this repo — bit-for-bit lane-vs-single
+// Every headline guarantee in this repo — bit-for-bit same-seed
 // ServiceReport equality, byte-identical Chrome traces across
-// Replay/ReplayLanes/ReplayStream — rests on conventions that used to
+// Replay/ReplayStream — rests on conventions that used to
 // live only in review comments: simulated code reads the simulated
 // clock, random streams are scoped per entity, concurrency goes
 // through the kernel, and nothing observable is produced in map

@@ -3,8 +3,8 @@
 // memory left behind by earlier invocations: every input, staging
 // artifact and result belongs to the request, deployment or service
 // that made it. A package-level cache breaks that ownership — its
-// entries outlive every Service, are shared by every lane and replay in
-// the process, and, when keyed by pointer, hand one request's result to
+// entries outlive every Service, are shared by every replay in the
+// process, and, when keyed by pointer, hand one request's result to
 // another whose matrix reuses a collected address or a refilled buffer.
 // Two shapes are flagged:
 //

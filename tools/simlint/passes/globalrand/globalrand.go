@@ -1,8 +1,8 @@
 // Package globalrand polices randomness scoping. The determinism
 // contract requires every random stream to be owned by exactly one
 // simulated entity and seeded from that entity's identity, so that
-// replaying a trace on one kernel, on sharded lanes, or as a stream
-// consumes identical streams per entity. Three rules:
+// replaying a trace whole or as a stream, alone or beside other
+// traffic, consumes identical streams per entity. Three rules:
 //
 //  1. Package-level math/rand functions (rand.Intn, rand.Float64,
 //     rand.Shuffle, ...) draw from the process-global source and are
@@ -11,9 +11,8 @@
 //
 //  2. A package-level variable holding a *rand.Rand or rand.Source is
 //     a service-wide stream shared by every entity that touches it.
-//     This is the exact shape of the bug that broke lane composition
-//     in PR 7, where a service-scoped source made per-lane replays
-//     diverge from the single-kernel replay.
+//     Its draws then depend on how every entity's calls interleave, so
+//     one entity's outcome changes when unrelated traffic is added.
 //
 //  3. Inside simulation-domain packages, rand.NewSource with a
 //     constant literal seed is flagged: two entities constructed from
@@ -67,7 +66,7 @@ func run(pass *analysis.Pass) error {
 				// Rule 2. Report only the outermost constructor so
 				// rand.New(rand.NewSource(1)) yields one finding.
 				if !hasConstructorAncestor(pass, parents) {
-					pass.Reportf(call.Pos(), "package-level rand.%s: a service-wide random source is shared by every entity and breaks lane composition; scope the source per entity", name)
+					pass.Reportf(call.Pos(), "package-level rand.%s: a service-wide random source is shared by every entity and couples their outcomes; scope the source per entity", name)
 				}
 				return
 			}

@@ -9,9 +9,10 @@
 // The kernel itself (internal/sim) is exempt — implementing
 // cooperative processes on top of goroutines is its whole job — as
 // are host-side trees (cmd/, tools/, examples/), which run on the
-// real machine. Sim-domain code that genuinely needs a host-side
-// goroutine (e.g. fanning out independent lane kernels, each with its
-// own sealed state) must say why with //simlint:allow kernelgo.
+// real machine. Sim-domain code has no raw goroutine today; one that
+// genuinely needs a host-side goroutine (e.g. fanning out independent
+// kernels, each with its own sealed state) must say why with
+// //simlint:allow kernelgo.
 package kernelgo
 
 import (

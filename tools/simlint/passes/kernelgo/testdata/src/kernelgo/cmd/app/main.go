@@ -1,5 +1,5 @@
 // Package main is a host-side fixture: cmd/ binaries run real
-// goroutines (lane fan-out, signal handling) and are exempt.
+// goroutines (worker fan-out, signal handling) and are exempt.
 // simlint-fixture: clean
 package main
 

@@ -1,10 +1,10 @@
-// Package suppressed shows a reasoned kernelgo suppression, mirroring
-// the lane fan-out in internal/serve/lanes.go. simlint-fixture: clean
+// Package suppressed shows a reasoned kernelgo suppression of a
+// host-side fan-out over independent kernels. simlint-fixture: clean
 package suppressed
 
-func fanOut(lanes int) {
-	for i := 0; i < lanes; i++ {
-		//simlint:allow kernelgo — fixture: host-side fan-out; lanes share nothing until the deterministic merge
+func fanOut(kernels int) {
+	for i := 0; i < kernels; i++ {
+		//simlint:allow kernelgo — fixture: host-side fan-out; each goroutine owns one sealed kernel and they share nothing
 		go func() {}()
 	}
 }
