@@ -365,14 +365,16 @@ func WithEndpointRunConcurrency(n int) EndpointOption {
 }
 
 // Observability (internal/obs): a span tracer and metrics registry over
-// simulated time. WithTracing turns both on; the tracer exports Chrome
+// simulated time. WithTracing turns the tracer on; it exports Chrome
 // trace-event JSON (loadable in Perfetto or chrome://tracing, one track
-// per replica, worker and KV shard) and a plain-text flame summary, the
-// registry snapshots counters, gauges and log-linear latency histograms
-// mid-replay. Sampling is keyed on the request's trace index, so the
-// same workload at the same rate exports byte-identical traces whether
-// it replays the whole trace (Replay) or streams it (ReplayStream). With
-// tracing off (the default) every hook is a single pointer check:
+// per replica, worker and KV shard) and a plain-text flame summary. The
+// registry is always on: its per-endpoint counters are the counts every
+// replay report reads, and it snapshots counters, gauges and log-linear
+// latency histograms mid-replay. Sampling is keyed on the request's
+// trace index, so the same workload at the same rate exports
+// byte-identical traces whether it replays the whole trace (Replay) or
+// streams it (ReplayStream). With tracing off (the default) every
+// tracer hook is a single pointer check:
 //
 //	svc, _ := fsdinference.NewService(env, ..., fsdinference.WithTracing(100))
 //	rep, _ := svc.Replay(trace, fsdinference.ReplayOptions{Seed: 7})
@@ -396,8 +398,9 @@ type (
 	LatencyHistogram = obs.Histogram
 )
 
-// WithTracing enables the service's simulated-time tracer and metrics
-// registry, sampling one in sampleEvery requests (<= 1 samples all).
+// WithTracing enables the service's simulated-time span tracer, sampling
+// one in sampleEvery requests (<= 1 samples all). The metrics registry
+// needs no option: it is always on.
 func WithTracing(sampleEvery int) ServiceOption { return serve.WithTracing(sampleEvery) }
 
 // Monitoring (internal/obs/monitor): a simulated-time SLO monitor over
@@ -456,8 +459,8 @@ const (
 	TicketAlert     = monitor.Ticket
 )
 
-// WithMonitor enables the simulated-time SLO monitor (and the metrics
-// registry it scrapes) under the given spec.
+// WithMonitor enables the simulated-time SLO monitor under the given
+// spec; it scrapes the always-on metrics registry.
 func WithMonitor(spec MonitorSpec) ServiceOption { return serve.WithMonitor(spec) }
 
 // DefaultBurnRules returns the classic multi-window pair: a fast 5m/1h

@@ -74,14 +74,17 @@ func TestRegistryCompleteAndUnique(t *testing.T) {
 }
 
 func TestAllExperimentsProduceTables(t *testing.T) {
+	// Sequential subtests: the shared Lab caches are not goroutine-safe.
 	for _, r := range Registry() {
-		tab := table(t, r.ID)
-		if tab == nil || len(tab.Rows) == 0 || len(tab.Columns) == 0 {
-			t.Fatalf("%s produced an empty table", r.ID)
-		}
-		if s := tab.String(); !strings.Contains(s, tab.Title) {
-			t.Fatalf("%s: rendering lost the title", r.ID)
-		}
+		t.Run(r.ID, func(t *testing.T) {
+			tab := table(t, r.ID)
+			if tab == nil || len(tab.Rows) == 0 || len(tab.Columns) == 0 {
+				t.Fatalf("%s produced an empty table", r.ID)
+			}
+			if s := tab.String(); !strings.Contains(s, tab.Title) {
+				t.Fatalf("%s: rendering lost the title", r.ID)
+			}
+		})
 	}
 }
 

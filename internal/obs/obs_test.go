@@ -380,7 +380,7 @@ func TestScopeSub(t *testing.T) {
 }
 
 // TestRegistry exercises instrument identity, labels, nil-safety,
-// and snapshot ordering.
+// window baselines and snapshot ordering.
 func TestRegistry(t *testing.T) {
 	var nilReg *Registry
 	if nilReg.Counter("x") != nil || nilReg.Gauge("x") != nil || nilReg.Histogram("x") != nil {
@@ -407,6 +407,16 @@ func TestRegistry(t *testing.T) {
 	r.Gauge("queue_depth", "endpoint", "a").Set(5)
 	if got := r.Gauge("queue_depth", "endpoint", "a").Value(); got != 5 {
 		t.Errorf("gauge = %g, want 5", got)
+	}
+	base := r.CounterValues()
+	c.Inc()
+	late := r.Counter("runs_total", "endpoint", "a")
+	late.Add(2)
+	if d := c.Value() - base[c]; d != 1 {
+		t.Errorf("counter delta over window = %d, want 1", d)
+	}
+	if d := late.Value() - base[late]; d != 2 {
+		t.Errorf("delta of a counter created inside the window = %d, want 2", d)
 	}
 	h := r.Histogram("latency_ns", "endpoint", "a")
 	h.Observe(time.Millisecond)

@@ -136,6 +136,17 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	return h
 }
 
+// CounterValues returns every counter's current value, keyed by the
+// counter. It is a window baseline: a counter's count over the window is
+// its Value minus its baseline entry (zero for a counter created since).
+func (r *Registry) CounterValues() map[*Counter]int64 {
+	out := make(map[*Counter]int64, len(r.counters))
+	for _, c := range r.counters {
+		out[c] = c.v
+	}
+	return out
+}
+
 // Metric is one snapshotted instrument.
 type Metric struct {
 	Key  string // "name{label=value,...}"

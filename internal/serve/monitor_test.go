@@ -28,8 +28,7 @@ func monitorTestSpec() monitor.Spec {
 }
 
 // monitoredTestService is tracedTestService's monitor twin: the same
-// two-size service with the SLO monitor on (and tracing off, so the
-// metrics registry's monitor-only enablement is covered too).
+// two-size service with the SLO monitor on and tracing off.
 func monitoredTestService(t *testing.T, spec monitor.Spec) *Service {
 	t.Helper()
 	svc, err := NewService(env.NewDefault(),
@@ -338,8 +337,8 @@ func TestMonitorPassiveReplayUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Monitor() != nil || off.Metrics() != nil {
-		t.Fatal("monitor-off service exposes monitoring handles")
+	if off.Monitor() != nil {
+		t.Fatal("monitor-off service exposes a monitor")
 	}
 	repOff, err := off.Replay(trace, opts)
 	if err != nil {
@@ -372,6 +371,9 @@ func TestMonitorPassiveReplayUnchanged(t *testing.T) {
 	}
 	if len(on.Monitor().Series("mem128")) == 0 {
 		t.Error("passive monitor recorded no series")
+	}
+	if metOff, metOn := metricsText(t, off), metricsText(t, on); metOff != metOn {
+		t.Errorf("monitoring changed the metrics registry:\n--- off ---\n%s--- on ---\n%s", metOff, metOn)
 	}
 }
 

@@ -70,8 +70,8 @@ func TestPriorityAdmissionDispatchesHighPriorityFirst(t *testing.T) {
 		t.Fatalf("high priority finished at %v, low at %v: want high first",
 			high.finished, low.finished)
 	}
-	if ep := svc.byName["ep"]; ep.stats.Runs != 3 {
-		t.Fatalf("runs = %d, want 3 separate runs", ep.stats.Runs)
+	if ep := svc.byName["ep"]; runsOf(ep) != 3 {
+		t.Fatalf("runs = %d, want 3 separate runs", runsOf(ep))
 	}
 }
 
@@ -109,8 +109,8 @@ func TestDeadlineAdmissionShedsUnmeetableRequests(t *testing.T) {
 		t.Fatal("deadline-meeting request got no output")
 	}
 	ep := svc.byName["ep"]
-	if ep.stats.Shed != 1 {
-		t.Fatalf("shed = %d, want 1", ep.stats.Shed)
+	if ep.met.shed.Value() != 1 {
+		t.Fatalf("shed = %d, want 1", ep.met.shed.Value())
 	}
 }
 
@@ -146,8 +146,8 @@ func TestDeadlineRerouteMovesRequestToSiblingEndpoint(t *testing.T) {
 	if !model.OutputsClose(resp.Output, model.Reference(m, in), 1e-2) {
 		t.Fatal("rerouted request got the wrong output")
 	}
-	if a := svc.byName["a"]; a.stats.Rerouted != 1 || a.stats.Shed != 0 {
-		t.Fatalf("endpoint a rerouted=%d shed=%d, want 1/0", a.stats.Rerouted, a.stats.Shed)
+	if a := svc.byName["a"]; a.met.rerouted.Value() != 1 || a.met.shed.Value() != 0 {
+		t.Fatalf("endpoint a rerouted=%d shed=%d, want 1/0", a.met.rerouted.Value(), a.met.shed.Value())
 	}
 }
 
@@ -198,8 +198,8 @@ func TestDeadlineReroutePicksLeastLoadedSibling(t *testing.T) {
 	if !model.OutputsClose(resp.Output, model.Reference(m, in), 1e-2) {
 		t.Fatal("rerouted request got the wrong output")
 	}
-	if a := svc.byName["a"]; a.stats.Rerouted != 1 {
-		t.Fatalf("endpoint a rerouted=%d, want 1", a.stats.Rerouted)
+	if a := svc.byName["a"]; a.met.rerouted.Value() != 1 {
+		t.Fatalf("endpoint a rerouted=%d, want 1", a.met.rerouted.Value())
 	}
 }
 
@@ -315,7 +315,7 @@ func TestScaleDownReleasesProvisionedMemoryNodes(t *testing.T) {
 		}
 	}
 	ep := svc.byName["mem"]
-	if ep.stats.ScaleDowns == 0 {
+	if ep.met.scaleDowns.Value() == 0 {
 		t.Fatalf("pool never shrank (peak %d, now %d); release untested",
 			ep.stats.PeakReplicas, len(ep.sched.pool))
 	}
@@ -359,8 +359,8 @@ func TestQueueChannelRunsOverlapOnOneReplica(t *testing.T) {
 	if len(ep.sched.pool) != 1 {
 		t.Fatalf("pool size = %d, want 1", len(ep.sched.pool))
 	}
-	if ep.stats.Runs != 2 {
-		t.Fatalf("runs = %d, want 2", ep.stats.Runs)
+	if runsOf(ep) != 2 {
+		t.Fatalf("runs = %d, want 2", runsOf(ep))
 	}
 	if ep.stats.MaxConcurrent < 2 {
 		t.Fatalf("max concurrent runs per replica = %d, want >= 2", ep.stats.MaxConcurrent)
@@ -493,7 +493,7 @@ func TestSLOSelectsConfigurationAndReselectsOnDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ep.stats.Reselections == 0 {
+	if ep.met.reselections.Value() == 0 {
 		t.Fatal("observed batch drifted 16x from probe but no re-selection happened")
 	}
 }

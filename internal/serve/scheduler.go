@@ -253,10 +253,6 @@ func (sc *scheduler) evaluatePool() {
 	}
 	for len(sc.pool) < target {
 		sc.addReplica(now)
-		sc.ep.stats.ScaleUps++
-	}
-	if len(sc.pool) > sc.ep.stats.PeakReplicas {
-		sc.ep.stats.PeakReplicas = len(sc.pool)
 	}
 	if target >= len(sc.pool) {
 		return
@@ -281,8 +277,8 @@ func (sc *scheduler) evaluatePool() {
 		// the replica, or it would bill node-hours forever.
 		sc.pool[victim].d.Decommission()
 		sc.pool = append(sc.pool[:victim], sc.pool[victim+1:]...)
-		sc.ep.stats.ScaleDowns++
-		sc.ep.met.setPoolSize(len(sc.pool))
+		sc.ep.met.scaleDowns.Inc()
+		sc.ep.met.poolSize.Set(float64(len(sc.pool)))
 	}
 	// Still above target: some idle replicas are inside the grace period.
 	// Arm a re-check at the earliest time one becomes reclaimable.
@@ -308,6 +304,9 @@ func (sc *scheduler) evaluatePool() {
 	}
 }
 
+// addReplica is a scale-up: it deploys one more replica into the pool and
+// counts it. Initial pool deploys go through deployReplica and are not
+// scale-ups.
 func (sc *scheduler) addReplica(now time.Duration) {
 	rep, err := sc.ep.deployReplica()
 	if err != nil {
@@ -319,7 +318,11 @@ func (sc *scheduler) addReplica(now time.Duration) {
 	sc.accrue(now)
 	rep.lastUsed, rep.idleSince = now, now
 	sc.pool = append(sc.pool, rep)
-	sc.ep.met.setPoolSize(len(sc.pool))
+	sc.ep.met.scaleUps.Inc()
+	sc.ep.met.poolSize.Set(float64(len(sc.pool)))
+	if len(sc.pool) > sc.ep.stats.PeakReplicas {
+		sc.ep.stats.PeakReplicas = len(sc.pool)
+	}
 }
 
 // alertBoost is the alert-driven action for an endpoint without a
@@ -329,12 +332,7 @@ func (sc *scheduler) addReplica(now time.Duration) {
 // but it reclaims the extra replica through the normal idle-grace path
 // once the pressure passes.
 func (sc *scheduler) alertBoost() {
-	now := sc.now()
-	sc.addReplica(now)
-	sc.ep.stats.ScaleUps++
-	if len(sc.pool) > sc.ep.stats.PeakReplicas {
-		sc.ep.stats.PeakReplicas = len(sc.pool)
-	}
+	sc.addReplica(sc.now())
 	sc.dispatch()
 }
 
@@ -376,7 +374,7 @@ func (sc *scheduler) dispatch() {
 		}
 		sc.startRun(rep, b)
 	}
-	sc.ep.met.setQueueDepth(sc.queue.Len())
+	sc.ep.met.queueDepth.Set(float64(sc.queue.Len()))
 }
 
 // nextBatch pops requests in admission order into one engine-run batch of
@@ -417,24 +415,50 @@ func (sc *scheduler) shed(r *request, now time.Duration) {
 		if alt := sc.leastLoadedSibling(); alt != nil {
 			r.rerouted = true
 			r.span.SetAttr("rerouted", alt.name)
-			sc.ep.stats.Rerouted++
-			if m := sc.ep.met; m != nil {
-				m.rerouted.Inc()
-			}
+			sc.ep.met.rerouted.Inc()
 			alt.sched.admit(r)
 			return
 		}
 	}
-	sc.ep.stats.Shed++
-	if m := sc.ep.met; m != nil {
-		m.requests.Inc()
-		m.failures.Inc()
-		m.shed.Inc()
-	}
-	r.span.SetAttr("error", "shed")
-	r.span.End()
-	r.h.fail(now, fmt.Errorf("serve: endpoint %q: %w (deadline %v, now %v)",
+	sc.ep.met.shed.Inc()
+	sc.resolve(r, now, nil, "shed", fmt.Errorf("serve: endpoint %q: %w (deadline %v, now %v)",
 		sc.ep.name, ErrShed, r.deadline, now))
+}
+
+// resolve ends a request's span and resolves its handle, with resp or, when
+// err is set, failed with err and the span tagged error=attr. It is the one
+// place a scheduled request counts in requests_total and, failed, in
+// request_failures_total.
+func (sc *scheduler) resolve(r *request, now time.Duration, resp *Response, attr string, err error) {
+	m := sc.ep.met
+	m.requests.Inc()
+	if err != nil {
+		m.failures.Inc()
+		r.span.SetAttr("error", attr)
+		r.span.End()
+		r.h.fail(now, err)
+		return
+	}
+	m.latency.Observe(resp.Latency)
+	if r.span.Active() {
+		r.span.SetAttr("run", resp.RunID)
+		r.span.End()
+	}
+	r.h.complete(now, resp)
+}
+
+// failRun resolves every request of a run that failed to start (attr
+// "start") or to finish ("run"): the run span and each request span end
+// tagged error=attr, every handle fails with err, and the run counts once
+// in run_failures_total.
+func (sc *scheduler) failRun(b *batch, runSpan obs.SpanRef, attr string, err error) {
+	runSpan.SetAttr("error", attr)
+	runSpan.End()
+	sc.ep.met.failedRuns.Inc()
+	now := sc.now()
+	for _, r := range b.reqs {
+		sc.resolve(r, now, nil, attr, err)
+	}
 }
 
 // pendingLoad is the scheduler's outstanding work — runs in flight plus
@@ -501,16 +525,8 @@ func (sc *scheduler) startRun(rep *replica, b *batch) {
 		sc.finishRun(rep, b, runSpan, res, err)
 	})
 	if err != nil {
-		runSpan.SetAttr("error", "start")
-		runSpan.End()
 		sc.releaseRun(rep)
-		now := sc.now()
-		for _, r := range b.reqs {
-			r.span.SetAttr("error", "start")
-			r.span.End()
-			r.h.fail(now, err)
-		}
-		sc.ep.stats.FailedRuns++
+		sc.failRun(b, runSpan, "start", err)
 		sc.dispatch()
 		return
 	}
@@ -557,22 +573,8 @@ func (sc *scheduler) maybeReplace(rep *replica, now time.Duration) {
 func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res *core.Result, err error) {
 	sc.releaseRun(rep)
 	ep := sc.ep
-	now := sc.now()
-	m := ep.met
 	if err != nil {
-		runSpan.SetAttr("error", "run")
-		runSpan.End()
-		ep.stats.FailedRuns++
-		if m != nil {
-			m.requests.Add(int64(len(b.reqs)))
-			m.failures.Add(int64(len(b.reqs)))
-			m.failedRuns.Inc()
-		}
-		for _, r := range b.reqs {
-			r.span.SetAttr("error", "run")
-			r.span.End()
-			r.h.fail(now, err)
-		}
+		sc.failRun(b, runSpan, "run", err)
 		sc.evaluatePool()
 		sc.dispatch()
 		return
@@ -582,9 +584,11 @@ func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res 
 	} else {
 		sc.estRun = (3*sc.estRun + res.Latency) / 4
 	}
-	ep.stats.Runs++
-	ep.stats.RunSamples += b.samples
-	ep.stats.RunRequests += len(b.reqs)
+	now := sc.now()
+	m := ep.met
+	m.runFor(rep.d.Cfg.Channel).Inc()
+	m.runSamples.Add(int64(b.samples))
+	m.runRequests.Add(int64(len(b.reqs)))
 	if b.samples > ep.stats.MaxSamples {
 		ep.stats.MaxSamples = b.samples
 	}
@@ -597,16 +601,9 @@ func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res 
 	ep.stats.Cost.KVReplica += res.Cost.KVReplica
 	for _, w := range res.Workers {
 		if w.Warm {
-			ep.stats.WarmStarts++
+			m.warmStarts.Inc()
 		} else {
-			ep.stats.ColdStarts++
-		}
-		if m != nil {
-			if w.Warm {
-				m.warmStarts.Inc()
-			} else {
-				m.coldStarts.Inc()
-			}
+			m.coldStarts.Inc()
 		}
 	}
 	if runSpan.Active() {
@@ -614,24 +611,13 @@ func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res 
 		runSpan.SetAttr("requests", strconv.Itoa(len(b.reqs)))
 		runSpan.End()
 	}
-	if m != nil {
-		m.runFor(rep.d.Cfg.Channel).Inc()
-		m.requests.Add(int64(len(b.reqs)))
-	}
 	off := 0
 	for _, r := range b.reqs {
 		cols := r.input.Cols
 		if r.deadline > 0 && now > r.deadline {
-			ep.stats.DeadlineMissed++
+			m.deadlineMissed.Inc()
 		}
-		if r.span.Active() {
-			r.span.SetAttr("run", res.RunID)
-			r.span.End()
-		}
-		if m != nil {
-			m.latency.Observe(now - r.arrived)
-		}
-		r.h.complete(now, &Response{
+		sc.resolve(r, now, &Response{
 			Endpoint:      ep.name,
 			RunID:         res.RunID,
 			Output:        sliceCols(res.Output, off, cols),
@@ -640,7 +626,7 @@ func (sc *scheduler) finishRun(rep *replica, b *batch, runSpan obs.SpanRef, res 
 			BatchSamples:  b.samples,
 			BatchRequests: len(b.reqs),
 			CostShare:     res.Cost.Total() * float64(cols) / float64(res.Batch),
-		})
+		}, "", nil)
 		off += cols
 	}
 	ep.observeRun(b.samples)

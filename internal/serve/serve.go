@@ -126,8 +126,8 @@ func WithRunConcurrency(n int) Option {
 	return func(c *serviceConfig) { c.runConc = n }
 }
 
-// WithTracing enables the service's simulated-time tracer and metrics
-// registry (internal/obs), sampling one in sampleEvery requests
+// WithTracing enables the service's simulated-time span tracer
+// (internal/obs), sampling one in sampleEvery requests
 // (sampleEvery <= 1 traces every request). Sampling is keyed on the
 // request's position in the replayed trace, so the same workload at the
 // same rate selects the same requests — and exports byte-identical
@@ -138,13 +138,12 @@ func WithTracing(sampleEvery int) Option {
 }
 
 // WithMonitor enables the simulated-time SLO monitor (internal/obs/
-// monitor): the metrics registry is turned on (tracing stays off unless
-// WithTracing is also applied), every endpoint's instruments are
-// registered as a scrape target, and replays drive the scrape loop as
-// kernel events. Unless spec.Passive is set, a firing page-severity
-// burn-rate alert also closes the control loop — an SLO endpoint
-// re-plans immediately instead of waiting for the break-even drift
-// trigger, and a fixed endpoint gets an emergency replica.
+// monitor) over the always-on metrics registry: every endpoint's
+// instruments are registered as a scrape target, and replays drive the
+// scrape loop as kernel events. Unless spec.Passive is set, a firing
+// page-severity burn-rate alert also closes the control loop — an SLO
+// endpoint re-plans immediately instead of waiting for the break-even
+// drift trigger, and a fixed endpoint gets an emergency replica.
 func WithMonitor(spec monitor.Spec) Option {
 	return func(c *serviceConfig) { c.monitoring = true; c.monSpec = spec }
 }
@@ -251,10 +250,9 @@ type Service struct {
 	// failed kernel run can surface its error on all of them.
 	pending map[*Handle]struct{}
 
-	// trace is nil unless WithTracing was applied; metrics is nil unless
-	// WithTracing or WithMonitor was; mon is nil unless WithMonitor was.
-	// Every hot path guards on the nil, which is the whole cost of the
-	// observability-off mode.
+	// trace is nil unless WithTracing was applied and mon unless
+	// WithMonitor was; every hot path guards on the nil. metrics is always
+	// built: its counters are the endpoints' only counts.
 	trace   *obs.Tracer
 	metrics *obs.Registry
 	mon     *monitor.Monitor
@@ -282,8 +280,7 @@ type Endpoint struct {
 	// traced replica's track name is stable across replay modes (pool
 	// position is not: replaced replicas reuse slots).
 	replicaSeq int
-	// met caches the endpoint's registry instruments; nil when metrics
-	// are off.
+	// met caches the endpoint's registry instruments.
 	met *epMetrics
 
 	stats endpointStats
@@ -332,48 +329,24 @@ type batch struct {
 	samples int
 }
 
-// endpointStats counts run- and scheduler-level activity. Request-level
-// metrics live on the handles. Snapshot/sub pairs isolate one replay's
-// window; the high-water fields (MaxSamples, MaxConcurrent, PeakReplicas)
-// are restarted instead of subtracted.
+// endpointStats holds what the registry has no instrument for: the float
+// accruals, the re-plan log and the high-water marks. Counts live in the
+// endpoint's registry counters (epMetrics). Snapshot/sub pairs isolate
+// one replay's window; the high-water fields (MaxSamples, MaxConcurrent,
+// PeakReplicas) are restarted instead of subtracted.
 type endpointStats struct {
-	Runs        int
-	FailedRuns  int
-	RunSamples  int
-	RunRequests int
-	MaxSamples  int
-	ColdStarts  int
-	WarmStarts  int
-	Cost        usage.Breakdown
-
-	Shed           int
-	Rerouted       int
-	DeadlineMissed int
-	ScaleUps       int
-	ScaleDowns     int
-	Reselections   int
+	MaxSamples     int
 	MaxConcurrent  int
 	PeakReplicas   int
 	ReplicaSeconds float64
+	Cost           usage.Breakdown
 	// Replans records every SLO-driven configuration change in order;
-	// Reselections also counts planner re-runs that kept the
+	// reselections_total also counts planner re-runs that kept the
 	// configuration.
 	Replans []ReplanEvent
 }
 
 func (s endpointStats) sub(prev endpointStats) endpointStats {
-	s.Runs -= prev.Runs
-	s.FailedRuns -= prev.FailedRuns
-	s.RunSamples -= prev.RunSamples
-	s.RunRequests -= prev.RunRequests
-	s.ColdStarts -= prev.ColdStarts
-	s.WarmStarts -= prev.WarmStarts
-	s.Shed -= prev.Shed
-	s.Rerouted -= prev.Rerouted
-	s.DeadlineMissed -= prev.DeadlineMissed
-	s.ScaleUps -= prev.ScaleUps
-	s.ScaleDowns -= prev.ScaleDowns
-	s.Reselections -= prev.Reselections
 	s.ReplicaSeconds -= prev.ReplicaSeconds
 	s.Replans = s.Replans[len(prev.Replans):]
 	s.Cost.Lambda -= prev.Cost.Lambda
@@ -414,14 +387,12 @@ func NewService(e *env.Env, opts ...Option) (*Service, error) {
 		byName:       make(map[string]*Endpoint),
 		byNeuronsAll: make(map[int][]*Endpoint),
 		pending:      make(map[*Handle]struct{}),
+		metrics:      obs.NewRegistry(),
 	}
 	if cfg.tracing {
 		// Built before the endpoints so initial replica deployments are
 		// traced too. The tracer reads this environment's kernel clock.
 		s.trace = obs.New(e.K.Clock(), cfg.traceEvery)
-	}
-	if cfg.tracing || cfg.monitoring {
-		s.metrics = obs.NewRegistry()
 	}
 	if cfg.monitoring {
 		// The monitor scrapes on this environment's kernel; the chain
@@ -577,9 +548,7 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 	}
 
 	ep.sched = newScheduler(ep, policy, admission, scaling, runConc)
-	if s.metrics != nil {
-		ep.met = newEpMetrics(s.metrics, ep.name)
-	}
+	ep.met = newEpMetrics(s.metrics, ep.name)
 	initial := scaling.Target(PoolState{RunCapacity: runConc})
 	if initial < 1 {
 		initial = 1
@@ -592,7 +561,7 @@ func (s *Service) buildEndpoint(ec *endpointConfig, cfg *serviceConfig) (*Endpoi
 		ep.sched.pool = append(ep.sched.pool, rep)
 	}
 	ep.stats.PeakReplicas = len(ep.sched.pool)
-	ep.met.setPoolSize(len(ep.sched.pool))
+	ep.met.poolSize.Set(float64(len(ep.sched.pool)))
 	return ep, nil
 }
 
@@ -608,12 +577,10 @@ func (ep *Endpoint) deployReplica() (*replica, error) {
 		track = fmt.Sprintf("%s/r%d", ep.name, ep.replicaSeq)
 		dcfg.Trace = obs.Scope{T: t, Track: track}
 	}
-	if m := ep.met; m != nil {
-		// Thread the endpoint's KV instruments down to the deployment's
-		// kvclusters so shard failovers land in the scrapeable registry.
-		dcfg.KVFailoverCounter = m.kvFailovers
-		dcfg.KVLostValuesCounter = m.kvLostValues
-	}
+	// Thread the endpoint's KV instruments down to the deployment's
+	// kvclusters so shard failovers land in the scrapeable registry.
+	dcfg.KVFailoverCounter = ep.met.kvFailovers
+	dcfg.KVLostValuesCounter = ep.met.kvLostValues
 	ep.replicaSeq++
 	d, err := core.Deploy(ep.svc.env, dcfg)
 	if err != nil {
@@ -722,7 +689,7 @@ func (ep *Endpoint) replanTo(probe int, obj plan.Objective, reason string) {
 		return // keep the current configuration; retry after MinRuns more runs
 	}
 	st.probeBatch = float64(probe)
-	ep.stats.Reselections++
+	ep.met.reselections.Inc()
 	if dcfg.Channel == ep.dcfg.Channel && dcfg.Workers() == ep.dcfg.Workers() {
 		return // same configuration still wins; no redeploy needed
 	}
@@ -793,9 +760,10 @@ func (s *Service) Now() time.Duration { return s.env.K.Now() }
 // (WithTracing not applied).
 func (s *Service) Tracer() *obs.Tracer { return s.trace }
 
-// Metrics returns the service's metrics registry, or nil when both
-// tracing and monitoring are off. Snapshots may be taken mid-replay for
-// time-series windows.
+// Metrics returns the service's metrics registry. It is always on, with
+// or without WithTracing and WithMonitor: its per-endpoint counters are
+// the counts every replay report reads. Snapshots may be taken mid-replay
+// for time-series windows.
 func (s *Service) Metrics() *obs.Registry { return s.metrics }
 
 // Monitor returns the service's SLO monitor, or nil when monitoring is

@@ -21,6 +21,16 @@ func testModel(t *testing.T, neurons, layers int) *model.Model {
 	return m
 }
 
+// runsOf is ep's completed-run count: runs_total summed over its channel
+// labels.
+func runsOf(ep *Endpoint) int64 {
+	var n int64
+	for _, c := range ep.met.runsByChannel {
+		n += c.Value()
+	}
+	return n
+}
+
 // twoEndpointService builds a service with a serial "small" endpoint and a
 // distributed queue-channel "large" endpoint sharing one environment.
 func twoEndpointService(t *testing.T, opts ...Option) (*Service, *model.Model, *model.Model) {
@@ -90,8 +100,8 @@ func TestCoalescingMergesRequestsIntoOneRun(t *testing.T) {
 	if err := svc.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ep.stats.Runs != 1 {
-		t.Fatalf("runs = %d, want 1 coalesced run", ep.stats.Runs)
+	if runsOf(ep) != 1 {
+		t.Fatalf("runs = %d, want 1 coalesced run", runsOf(ep))
 	}
 	for i, h := range []*Handle{h1, h2, h3} {
 		resp, err := h.Wait()
@@ -126,8 +136,8 @@ func TestCoalescingFlushesAtMaxBatch(t *testing.T) {
 	if _, err := h2.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if ep.stats.Runs != 1 {
-		t.Fatalf("runs = %d, want 1 (flush at maxBatch)", ep.stats.Runs)
+	if runsOf(ep) != 1 {
+		t.Fatalf("runs = %d, want 1 (flush at maxBatch)", runsOf(ep))
 	}
 	if got := svc.Now(); got >= time.Hour {
 		t.Fatalf("batch waited for the delay timer (now=%v), want maxBatch flush", got)
@@ -151,8 +161,8 @@ func TestBacklogQueuesBehindBusyReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ep.stats.Runs != 2 {
-		t.Fatalf("runs = %d, want 2", ep.stats.Runs)
+	if runsOf(ep) != 2 {
+		t.Fatalf("runs = %d, want 2", runsOf(ep))
 	}
 	if r2.Latency <= r1.Latency {
 		t.Fatalf("queued request latency %v should exceed first request %v", r2.Latency, r1.Latency)

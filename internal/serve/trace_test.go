@@ -222,9 +222,9 @@ func TestTraceKVFailoverSpans(t *testing.T) {
 }
 
 // TestTracingOffReplayUnchanged: without WithTracing the service exposes
-// nil observability handles, the nil tracer still exports an empty valid
-// document, and the replay result matches a traced run's report — proof
-// instrumentation doesn't perturb the simulation.
+// a nil tracer that still exports an empty valid document, and both the
+// replay result and the always-on metrics registry match a traced run's
+// byte for byte — proof instrumentation doesn't perturb the simulation.
 func TestTracingOffReplayUnchanged(t *testing.T) {
 	trace := workload.Day(20*6, []int{64, 128}, 6, 5)
 	opts := ReplayOptions{Seed: 3}
@@ -243,8 +243,8 @@ func TestTracingOffReplayUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Tracer() != nil || off.Metrics() != nil {
-		t.Fatal("tracing-off service exposes observability handles")
+	if off.Tracer() != nil {
+		t.Fatal("tracing-off service exposes a tracer")
 	}
 	repOff, err := off.Replay(trace, opts)
 	if err != nil {
@@ -258,11 +258,25 @@ func TestTracingOffReplayUnchanged(t *testing.T) {
 		t.Errorf("nil tracer export: %q", buf.String())
 	}
 
-	repOn, err := tracedTestService(t, 1).Replay(trace, opts)
+	on := tracedTestService(t, 1)
+	repOn, err := on.Replay(trace, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if repOff.String() != repOn.String() {
 		t.Errorf("tracing changed the replay outcome:\n--- off ---\n%s\n--- on ---\n%s", repOff, repOn)
 	}
+	if metOff, metOn := metricsText(t, off), metricsText(t, on); metOff != metOn {
+		t.Errorf("tracing changed the metrics registry:\n--- off ---\n%s--- on ---\n%s", metOff, metOn)
+	}
+}
+
+// metricsText renders the service's metrics registry.
+func metricsText(t *testing.T, svc *Service) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := svc.Metrics().WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }

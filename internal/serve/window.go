@@ -5,17 +5,25 @@ import (
 	"time"
 
 	"fsdinference/internal/cloud/usage"
+	"fsdinference/internal/obs"
 )
 
 // replayWindow captures the metering state at a replay's start so the
 // report charges exactly the replay's own window: the meter snapshot and
-// platform start counters to subtract, and per-endpoint stat snapshots
+// platform start counters to subtract, the registry's counter values as
+// the baseline of every endpoint count, and per-endpoint stat snapshots
 // with the high-water marks restarted.
 type replayWindow struct {
 	base         time.Duration
 	meterSnap    usage.Meter
 	cold0, warm0 int
+	counts       map[*obs.Counter]int64
 	statSnaps    []endpointStats
+}
+
+// count is c's count over the window.
+func (win *replayWindow) count(c *obs.Counter) int {
+	return int(c.Value() - win.counts[c])
 }
 
 // openWindow closes the provisioned-capacity accruals at the window edge
@@ -31,6 +39,7 @@ func (s *Service) openWindow(base time.Duration) *replayWindow {
 		meterSnap: s.env.Meter.Snapshot(),
 		cold0:     s.env.FaaS.ColdStarts,
 		warm0:     s.env.FaaS.WarmStarts,
+		counts:    s.metrics.CounterValues(),
 		statSnaps: make([]endpointStats, len(s.eps)),
 	}
 	for i, ep := range s.eps {
@@ -190,9 +199,15 @@ func (s *Service) endpointReport(ep *Endpoint, win *replayWindow, acc *epFold) E
 		ev.At -= win.base
 		replans[j] = ev
 	}
+	m := ep.met
+	runs := 0
+	for _, c := range m.runsByChannel {
+		runs += win.count(c)
+	}
+	runSamples := win.count(m.runSamples)
 	batch := 0
-	if st.Runs > 0 {
-		batch = st.RunSamples / st.Runs
+	if runs > 0 {
+		batch = runSamples / runs
 	}
 	er := EndpointReport{
 		Name:              ep.name,
@@ -204,30 +219,30 @@ func (s *Service) endpointReport(ep *Endpoint, win *replayWindow, acc *epFold) E
 		Admission:         ep.sched.admission.Name(),
 		Scaling:           ep.sched.scaling.Name(),
 		ReplicaSeconds:    st.ReplicaSeconds,
-		ScaleUps:          st.ScaleUps,
-		ScaleDowns:        st.ScaleDowns,
-		Shed:              st.Shed,
-		Rerouted:          st.Rerouted,
-		DeadlineMissed:    st.DeadlineMissed,
-		Reselections:      st.Reselections,
+		ScaleUps:          win.count(m.scaleUps),
+		ScaleDowns:        win.count(m.scaleDowns),
+		Shed:              win.count(m.shed),
+		Rerouted:          win.count(m.rerouted),
+		DeadlineMissed:    win.count(m.deadlineMissed),
+		Reselections:      win.count(m.reselections),
 		Replans:           replans,
 		Observed:          ep.sched.observedProfile(batch),
 		MaxConcurrentRuns: st.MaxConcurrent,
 		Queries:           acc.queries,
 		Failed:            acc.failed,
 		Samples:           acc.samples,
-		Runs:              st.Runs,
-		FailedRuns:        st.FailedRuns,
+		Runs:              runs,
+		FailedRuns:        win.count(m.failedRuns),
 		MaxRunSamples:     st.MaxSamples,
-		ColdStarts:        st.ColdStarts,
-		WarmStarts:        st.WarmStarts,
+		ColdStarts:        win.count(m.coldStarts),
+		WarmStarts:        win.count(m.warmStarts),
 		Latency:           acc.lat.stats(),
 		Cost:              st.Cost,
 		PerPriority:       acc.prioStats(),
 	}
-	if st.Runs > 0 {
-		er.AvgRunSamples = float64(st.RunSamples) / float64(st.Runs)
-		er.AvgRunRequests = float64(st.RunRequests) / float64(st.Runs)
+	if runs > 0 {
+		er.AvgRunSamples = float64(runSamples) / float64(runs)
+		er.AvgRunRequests = float64(win.count(m.runRequests)) / float64(runs)
 	}
 	return er
 }
